@@ -21,37 +21,27 @@
 //! streams any offered fleet achieved
 //! ([`vrex_system::ShardedServeReport::real_time_sessions`]).
 //!
-//! Usage: `device_scaling [--smoke] [--json PATH]`
-//!
-//! * `--smoke` — CI-sized grid (device counts 1 and 2 only) which
-//!   asserts the acceptance headline: for every placement policy,
-//!   2-device capacity is at least 1-device capacity on the 32K
-//!   halved-HBM V-Rex48 + ReSV configuration.
-//! * `--json PATH` — write the summary rows as a JSON array (merged
-//!   into `BENCH_serve.json` by the `bench_serve` harness), each
-//!   recording the serve worker count and wall-clock, plus a final
-//!   sequential-vs-parallel speedup row over the largest pool.
+//! Usage: `device_scaling [--smoke]` — `--smoke` runs the CI-sized
+//! grid (device counts 1 and 2 only). Both modes assert the acceptance
+//! headline: for every placement policy, 2-device capacity is at least
+//! 1-device capacity on the 32K halved-HBM V-Rex48 + ReSV
+//! configuration.
 //!
 //! Each device count runs on its own sweep worker ([`vrex_bench::par`])
 //! and shares one [`StepPriceCache`] and one
 //! [`vrex_system::ShardScratch`] across its 4 policies × fleet sizes
-//! (recycled routing buffers); inside a serve the per-device loops fan
-//! out across the same scoped-thread driver, byte-identical to
-//! sequential by the placement-layer contract. Tables print in grid
-//! order afterwards — stdout is byte-identical to the sequential
-//! sweep; wall-clock goes to stderr. The full sweep on a ≥4-core host
-//! additionally gates the parallel fan-out at ≥2× wall-clock speedup
-//! over 4+ devices.
+//! (recycled routing buffers); each serve runs its per-device loops on
+//! one worker, so the sweep fans out at the unit level only. Tables
+//! print in grid order afterwards and carry simulated facts only —
+//! host time (the parallel fan-out's speedup, the routing share) is
+//! measured by the repo benchmark's `pool_migrate` workload.
 
-use std::io::Write;
-use std::time::Instant;
-
-use vrex_bench::par::{nested_split, par_map_with_workers, timed, workers};
+use vrex_bench::par::par_map;
 use vrex_bench::report::{banner, f, Table};
 use vrex_model::ModelConfig;
 use vrex_system::{
     serve_sharded_with_cache_in, DevicePool, Method, PlacementPolicy, ServeConfig, ShardScratch,
-    ShardedServeReport, StepPriceCache, SystemModel,
+    StepPriceCache, SystemModel,
 };
 use vrex_workload::traffic::TrafficConfig;
 
@@ -74,21 +64,10 @@ const FLEETS_PER_DEVICE: &[usize] = &[4, 8, 12, 16];
 const SMOKE_FLEETS_PER_DEVICE: &[usize] = &[4, 8, 12];
 
 /// Best summed real-time streams one (devices, policy) cell achieved,
-/// with the fleet that achieved it and that run's fabric accounting.
+/// with the migration count of the run that achieved it.
 struct Cell {
-    policy: PlacementPolicy,
     capacity: usize,
-    best_fleet: usize,
-    offered: usize,
-    admitted: usize,
     migrations: usize,
-    migrated_bytes: u64,
-    fabric_busy_ps: u64,
-    /// Worker threads the best run's device fan-out used (clamped to
-    /// the pool size).
-    serve_workers: usize,
-    /// Summed per-device serve wall-clock of the best run, seconds.
-    wall_s: f64,
 }
 
 /// One device count's rendered table plus its per-policy cells.
@@ -112,7 +91,7 @@ fn fleet_grid(devices: usize, device_counts: &[usize], fleets_per_device: &[usiz
     fleets
 }
 
-fn sweep_unit(devices: usize, fleets: &[usize], serve_workers: usize) -> UnitResult {
+fn sweep_unit(devices: usize, fleets: &[usize]) -> UnitResult {
     let model = ModelConfig::llama3_8b();
     let sys = SystemModel::new(headline_device(), Method::ReSV);
     let pool = DevicePool::homogeneous(headline_device(), devices);
@@ -134,7 +113,7 @@ fn sweep_unit(devices: usize, fleets: &[usize], serve_workers: usize) -> UnitRes
     ]);
     let mut cells = Vec::new();
     for &policy in &PlacementPolicy::ALL {
-        let mut best: Option<(usize, ShardedServeReport)> = None;
+        let mut best: Option<Cell> = None;
         for &sessions in fleets {
             // Same traffic shape as the tier-capacity headline:
             // two-turn sessions arriving in a 10 s burst.
@@ -151,7 +130,7 @@ fn sweep_unit(devices: usize, fleets: &[usize], serve_workers: usize) -> UnitRes
                 &plans,
                 &cfg,
                 policy,
-                serve_workers,
+                1,
                 &mut scratch,
             );
             let fabric = r.interconnect;
@@ -164,26 +143,17 @@ fn sweep_unit(devices: usize, fleets: &[usize], serve_workers: usize) -> UnitRes
                 f(fabric.migrated_bytes as f64 / (1u64 << 30) as f64, 2),
                 f(fabric.busy_ps as f64 / 1e9, 2),
             ]);
-            let better = best
+            if best
                 .as_ref()
-                .is_none_or(|(_, b)| r.real_time_sessions() > b.real_time_sessions());
-            if better {
-                best = Some((sessions, r));
+                .is_none_or(|b| r.real_time_sessions() > b.capacity)
+            {
+                best = Some(Cell {
+                    capacity: r.real_time_sessions(),
+                    migrations: fabric.migrations,
+                });
             }
         }
-        let (best_fleet, r) = best.expect("at least one fleet size");
-        cells.push(Cell {
-            policy,
-            capacity: r.real_time_sessions(),
-            best_fleet,
-            offered: r.offered(),
-            admitted: r.admitted(),
-            migrations: r.interconnect.migrations,
-            migrated_bytes: r.interconnect.migrated_bytes,
-            fabric_busy_ps: r.interconnect.busy_ps,
-            serve_workers: r.workers,
-            wall_s: r.device_wall_ns.iter().sum::<u64>() as f64 / 1e9,
-        });
+        cells.push(best.expect("at least one fleet size"));
     }
     UnitResult {
         devices,
@@ -193,13 +163,7 @@ fn sweep_unit(devices: usize, fleets: &[usize], serve_workers: usize) -> UnitRes
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let smoke = std::env::args().any(|a| a == "--smoke");
     let device_counts: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4, 8] };
     let fleets_per_device: &[usize] = if smoke {
         SMOKE_FLEETS_PER_DEVICE
@@ -218,21 +182,11 @@ fn main() {
          sessions per device\n"
     );
 
-    let sweep_clock = Instant::now();
     let units: Vec<(usize, Vec<usize>)> = device_counts
         .iter()
         .map(|&d| (d, fleet_grid(d, device_counts, fleets_per_device)))
         .collect();
-    // Nested fan-out: each outer unit runs sharded serves whose
-    // per-device loops fan out up to `largest_pool` ways on the same
-    // scoped-thread driver. Split the host's workers between the two
-    // levels so outer × inner never oversubscribes a small host.
-    let largest_pool = *device_counts.last().expect("at least one device count");
-    let (outer_workers, inner_workers) = nested_split(units.len(), largest_pool);
-    let results = par_map_with_workers(&units, outer_workers, |(d, fleets)| {
-        sweep_unit(*d, fleets, inner_workers)
-    });
-    let sweep_s = sweep_clock.elapsed().as_secs_f64();
+    let results = par_map(&units, |(d, fleets)| sweep_unit(*d, fleets));
 
     let mut summary = Table::new([
         "Devices",
@@ -280,120 +234,4 @@ fn main() {
         );
     }
     println!("OK: 2-device capacity >= 1-device capacity for every placement policy.");
-
-    // Parallel-execution speedup: re-serve the largest pool's biggest
-    // fleet at 1 worker and at the full fan-out (price cache warmed
-    // first so neither run pays cold pricing), pin the reports
-    // byte-identical, and record the wall-clock ratio. The ≥2× gate
-    // applies to the full sweep on a ≥4-core host driving ≥4 devices;
-    // smaller hosts still record their honest numbers.
-    let largest = largest_pool;
-    let big_fleet = fleets_per_device.last().expect("at least one fleet") * largest;
-    let speedup_row = {
-        let model = ModelConfig::llama3_8b();
-        let sys = SystemModel::new(headline_device(), Method::ReSV);
-        let pool = DevicePool::homogeneous(headline_device(), largest);
-        let cfg = ServeConfig::real_time_tiered(CACHE_TOKENS);
-        let plans = TrafficConfig {
-            sessions: big_fleet,
-            turns: 2,
-            arrival_spread_s: 10.0,
-            seed: 42,
-        }
-        .generate();
-        // At least 2 so the scoped-thread path genuinely runs even on
-        // a single-core host (its honest ~1x lands in the JSON).
-        let par_workers = workers().clamp(2, largest);
-        let mut prices = StepPriceCache::new(&sys, &model);
-        let mut scratch = ShardScratch::new();
-        let serve = |prices: &mut StepPriceCache, scratch: &mut ShardScratch, w: usize| {
-            timed(|| {
-                serve_sharded_with_cache_in(
-                    prices,
-                    &pool,
-                    &plans,
-                    &cfg,
-                    PlacementPolicy::FirstFit,
-                    w,
-                    scratch,
-                )
-            })
-        };
-        let _warm = serve(&mut prices, &mut scratch, 1);
-        let (seq, seq_ns) = serve(&mut prices, &mut scratch, 1);
-        let (par, par_ns) = serve(&mut prices, &mut scratch, par_workers);
-        assert_eq!(
-            par, seq,
-            "parallel sharded report drifted from sequential at {par_workers} workers"
-        );
-        let speedup = seq_ns as f64 / par_ns as f64;
-        // Deterministic facts on stdout; measured wall-clock (which
-        // varies run to run) goes to stderr like the sweep timing.
-        println!(
-            "\nParallel fan-out over {largest} devices × {big_fleet} sessions \
-             (first-fit): parallel report byte-identical to sequential at \
-             {par_workers} worker(s)."
-        );
-        eprintln!(
-            "parallel fan-out wall-clock: {:.3} s at 1 worker, {:.3} s at \
-             {par_workers} worker(s) — {speedup:.2}x",
-            seq_ns as f64 / 1e9,
-            par_ns as f64 / 1e9,
-        );
-        if !smoke && workers() >= 4 && largest >= 4 {
-            assert!(
-                speedup >= 2.0,
-                "parallel sharded execution speedup {speedup:.2}x < 2x \
-                 at {par_workers} workers over {largest} devices"
-            );
-            eprintln!("OK: >= 2x parallel speedup at {par_workers} workers");
-        }
-        format!(
-            "  {{\"devices\": {largest}, \"policy\": \"speedup\", \
-             \"fleet\": {big_fleet}, \"workers_seq\": 1, \"workers_par\": {par_workers}, \
-             \"wall_s_seq\": {:.6}, \"wall_s_par\": {:.6}, \"speedup\": {speedup:.3}}}",
-            seq_ns as f64 / 1e9,
-            par_ns as f64 / 1e9,
-        )
-    };
-
-    if let Some(path) = json_path {
-        let mut records = Vec::new();
-        for unit in &results {
-            for c in &unit.cells {
-                records.push(format!(
-                    "  {{\"devices\": {}, \"policy\": \"{}\", \"capacity\": {}, \
-                     \"best_fleet\": {}, \"offered\": {}, \"admitted\": {}, \
-                     \"migrations\": {}, \"migrated_bytes\": {}, \
-                     \"fabric_busy_ps\": {}, \"workers\": {}, \
-                     \"outer_workers\": {outer_workers}, \
-                     \"inner_workers\": {inner_workers}, \"wall_s\": {:.6}}}",
-                    unit.devices,
-                    c.policy.label(),
-                    c.capacity,
-                    c.best_fleet,
-                    c.offered,
-                    c.admitted,
-                    c.migrations,
-                    c.migrated_bytes,
-                    c.fabric_busy_ps,
-                    c.serve_workers,
-                    c.wall_s,
-                ));
-            }
-        }
-        records.push(speedup_row);
-        let json = format!("[\n{}\n]\n", records.join(",\n"));
-        let mut out = std::fs::File::create(&path).expect("create device_scaling json");
-        out.write_all(json.as_bytes())
-            .expect("write device_scaling json");
-        println!("\nwrote {path}");
-    }
-
-    eprintln!(
-        "sweep wall-clock: {sweep_s:.3} s across {} worker(s) split \
-         {outer_workers} outer x {inner_workers} inner, {} device count(s)",
-        workers(),
-        device_counts.len()
-    );
 }

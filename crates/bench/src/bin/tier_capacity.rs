@@ -36,11 +36,10 @@
 //! 4 policies × 6 fleet sizes, so a repeated batch shape is priced
 //! once per unit rather than once per serve. Tables print in grid
 //! order afterwards — stdout is byte-identical to the sequential
-//! sweep; the wall-clock line goes to stderr.
+//! sweep. The sweep's host time is the repo benchmark's
+//! `capacity_sweep` workload (the same 420 serves).
 
-use std::time::Instant;
-
-use vrex_bench::par::{par_map, workers};
+use vrex_bench::par::par_map;
 use vrex_bench::report::{banner, f, Table};
 use vrex_model::ModelConfig;
 use vrex_system::memory::AdmissionPolicy;
@@ -302,7 +301,6 @@ fn main() {
 
     // Fan the (platform, cache) grid units out across sweep workers,
     // then render in grid order.
-    let sweep_clock = Instant::now();
     let units: Vec<(Config, usize)> = configs(smoke)
         .into_iter()
         .flat_map(|cfg| caches.iter().map(move |&cache| (cfg.clone(), cache)))
@@ -310,7 +308,6 @@ fn main() {
     let results = par_map(&units, |(cfg, cache)| {
         sweep_unit(&cfg.sys, cfg.budget, *cache, fleets, overlap)
     });
-    let sweep_s = sweep_clock.elapsed().as_secs_f64();
 
     for (ui, ((cfg, cache), unit)) in units.iter().zip(results).enumerate() {
         banner(&unit.heading);
@@ -422,11 +419,4 @@ fn main() {
              real-time capacity on the headline V-Rex48+ReSV configuration."
         );
     }
-    // Perf trajectory (stderr keeps stdout deterministic); bench_serve
-    // records the full process wall-clock into BENCH_serve.json.
-    eprintln!(
-        "sweep wall-clock: {sweep_s:.3} s across {} worker(s), {} grid unit(s)",
-        workers(),
-        units.len()
-    );
 }

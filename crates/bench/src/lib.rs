@@ -2,8 +2,9 @@
 //!
 //! The experiment harness: one binary per table/figure of the paper's
 //! evaluation (see `DESIGN.md` §3 for the index and `EXPERIMENTS.md`
-//! for paper-vs-measured records), plus Criterion benches over the
-//! timing-critical kernels.
+//! for paper-vs-measured records). Every binary prints simulated,
+//! deterministic facts only; host time is measured by the repo
+//! benchmark (`BENCHMARK.json`, `benchmark/`), never here.
 //!
 //! Run everything with:
 //!
@@ -18,9 +19,10 @@
 //! ```
 //!
 //! Beyond the figures, `realtime_session` shows single-stream queueing
-//! transients, `serve_capacity` sweeps multi-session serving capacity
-//! (sessions × cache length × method; `--smoke` for the CI-sized run),
-//! and `scaling` / `sweep_resv_params` explore parameter spaces.
+//! transients, `serve_capacity` / `tier_capacity` / `device_scaling`
+//! sweep multi-session serving capacity (reject-only, tiered, and
+//! across a device pool; `--smoke` for the CI-sized, hard-asserted
+//! runs), and `scaling` / `sweep_resv_params` explore parameter spaces.
 
 pub use vrex_core::par;
 

@@ -1,14 +1,17 @@
-//! Worker-count determinism for the fleet-scale sweep.
+//! Event-loop counter gates over open-loop streamed fleets — the two
+//! deterministic facts about [`vrex_system::ServeCounters`] that the
+//! repo benchmark (`BENCHMARK.json`, which owns every host-time
+//! number) does not check.
 //!
-//! `fleet_scale --verbose` prints [`vrex_system::ServeCounters`]
-//! event-loop telemetry per grid point, but nothing ever asserted those
-//! counters are invariant to how many `par_map` workers raced over the
-//! grid. They must be: each grid point runs wholly inside one worker
-//! closure with its own plan stream and price cache, so every counter
-//! is a function of the unit alone. This test drives the same
-//! fleet-scale measurement grid through [`par_map_with_workers`] at one
-//! worker and at several contended counts and pins reports *and*
-//! counters bit-equal.
+//! * **Worker-count determinism.** Each grid point runs wholly inside
+//!   one worker closure with its own plan stream and price cache, so
+//!   every counter is a function of the unit alone: the grid driven
+//!   through [`par_map_with_workers`] at one worker and at several
+//!   contended counts must give bit-equal reports *and* counters.
+//! * **Working-set flatness.** The open-loop steady state is
+//!   O(λ · patience), so the queue/active/pending peaks must not grow
+//!   with the fleet: a peak that scales with fleet size means
+//!   admission state has silently become O(fleet).
 
 use vrex_bench::par::par_map_with_workers;
 use vrex_model::ModelConfig;
@@ -18,8 +21,7 @@ use vrex_system::{
 };
 use vrex_workload::traffic::OpenLoopConfig;
 
-/// A miniature of the `fleet_scale` grid: fleet size × admission ×
-/// event core, sized for a test budget.
+/// One grid point: fleet size × admission × event core.
 struct Unit {
     sessions: usize,
     tiered: bool,
@@ -44,8 +46,8 @@ fn grid() -> Vec<Unit> {
     units
 }
 
-/// The `fleet_scale::measure` core without the wall-clock timing: one
-/// open-loop streamed serve per unit, fresh price cache, full report.
+/// One open-loop streamed serve (V-Rex48 + ReSV, λ = 1.2/s, 32K
+/// initial cache) over a fresh price cache.
 fn measure(u: &Unit) -> ServeReport {
     let model = ModelConfig::llama3_8b();
     let sys = SystemModel::new(PlatformSpec::vrex48(), Method::ReSV);
@@ -83,6 +85,35 @@ fn fleet_counters_are_invariant_to_worker_count() {
             );
             assert_eq!(a, b, "report drifted: {label}");
             assert_eq!(a.counters, b.counters, "counters drifted: {label}");
+        }
+    }
+}
+
+#[test]
+fn working_set_stays_flat_as_the_fleet_grows() {
+    for queue in [QueueKind::Heap, QueueKind::Wheel] {
+        let counters = |sessions| {
+            measure(&Unit {
+                sessions,
+                tiered: false,
+                queue,
+                seed: 11,
+            })
+            .counters
+        };
+        // Recorded: 42/64/13 at 10³ vs 46/64/19 at 10⁴; 2× headroom
+        // covers the start-up transient.
+        let (small, big) = (counters(1_000), counters(10_000));
+        for (label, s, b) in [
+            ("queue_peak", small.queue_peak, big.queue_peak),
+            ("active_peak", small.active_peak, big.active_peak),
+            ("pending_peak", small.pending_peak, big.pending_peak),
+        ] {
+            assert!(
+                b <= 2 * s,
+                "working set grew with fleet size ({queue:?}): {label} is {b} at \
+                 10000 sessions vs {s} at 1000"
+            );
         }
     }
 }

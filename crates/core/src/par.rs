@@ -17,6 +17,11 @@
 //! On a single-core runner (`available_parallelism() == 1`) the fan-out
 //! degenerates to an in-order sequential loop with one worker thread —
 //! same results, negligible overhead.
+//!
+//! [`timed`] is the only place under `crates/` that reads the host
+//! clock. Everything else that measures host time — throughput,
+//! per-layer attribution, the parallel speedup — lives in the repo
+//! benchmark (`BENCHMARK.json`, `benchmark/`), not in the sweep bins.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -27,25 +32,6 @@ pub fn workers() -> usize {
     std::thread::available_parallelism()
         .map(NonZeroUsize::get)
         .unwrap_or(1)
-}
-
-/// Splits the machine's workers between an outer [`par_map`] sweep of
-/// `outer_units` units whose bodies each fan out up to `inner_width`
-/// ways (nested sweeps: a device-scaling unit runs a sharded serve
-/// whose per-device loops use the same scoped-thread driver). The
-/// inner width is granted first — it bounds a single unit's latency —
-/// and the outer level gets the remaining quotient, so
-/// `outer × inner <= workers()` and a small host is never
-/// oversubscribed by the product of the two levels.
-///
-/// Returns `(outer_workers, inner_workers)`, each at least 1; the
-/// outer count is additionally capped at `outer_units` (matching the
-/// clamp [`par_map_with_workers`] applies anyway).
-pub fn nested_split(outer_units: usize, inner_width: usize) -> (usize, usize) {
-    let total = workers();
-    let inner = total.min(inner_width.max(1));
-    let outer = (total / inner).clamp(1, outer_units.max(1));
-    (outer, inner)
 }
 
 /// Times `f` on the host monotonic clock, returning its result and the
@@ -174,35 +160,5 @@ mod tests {
     #[test]
     fn zero_workers_clamps_to_one() {
         assert_eq!(par_map_with_workers(&[7usize], 0, |&i| i + 1), vec![8]);
-    }
-
-    #[test]
-    fn nested_split_never_oversubscribes() {
-        let total = workers();
-        for outer_units in [0usize, 1, 2, 4, 100] {
-            for inner_width in [0usize, 1, 2, 8, 1024] {
-                let (outer, inner) = nested_split(outer_units, inner_width);
-                assert!(outer >= 1 && inner >= 1);
-                assert!(
-                    outer * inner <= total.max(1),
-                    "split {outer}x{inner} oversubscribes {total} workers"
-                );
-                assert!(outer <= outer_units.max(1));
-                assert!(inner <= inner_width.max(1).max(1));
-            }
-        }
-    }
-
-    #[test]
-    fn nested_split_grants_the_inner_width_first() {
-        // A wide inner fan-out on any host serializes the outer level
-        // before it shrinks the inner one below the machine width.
-        let (outer, inner) = nested_split(100, usize::MAX);
-        assert_eq!(inner, workers());
-        assert_eq!(outer, 1);
-        // No inner fan-out: the outer level gets every worker.
-        let (outer, inner) = nested_split(100, 1);
-        assert_eq!(inner, 1);
-        assert_eq!(outer, workers().min(100));
     }
 }

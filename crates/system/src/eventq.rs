@@ -67,18 +67,17 @@ pub trait TimeKeyed {
 
 /// Which [`EventQueue`] implementation a serving run uses.
 ///
-/// The wheel is the default: the two kinds are byte-identical by
-/// contract (property-tested and golden-pinned), so the choice is
-/// purely a wall-clock one, and the measured `fleet_scale` profile
-/// (table in ARCHITECTURE.md) shows the wheel ahead exactly where the
-/// serving stack is headed — ~10% faster at the 10⁶-session fleet and
-/// ~8% faster under tiered admission at 10⁵, the regimes where
-/// far-future patience deadlines pile up and the heap's `O(log n)`
-/// compares cost real time. The heap edges the wheel back (up to
-/// ~15%) on small/mid reject-only fleets where the queue stays
-/// shallow; it remains selectable as the reference implementation the
-/// equivalence tests compare against, and for callers living in that
-/// regime.
+/// The two kinds are byte-identical by contract (property-tested and
+/// golden-pinned), so the choice is purely a host-time one, and the
+/// repo benchmark (`BENCHMARK.json`, `fleet_reject` workload) is where
+/// it is measured. The serving loop arms arrivals lazily and holds
+/// ~48 events even at 10⁶ sessions; at that occupancy
+/// `system.eventq.{heap,wheel}_ns_per_op.occ48` are level (35 vs
+/// 39 ns) and the queue is `system.eventq.est_share` ≈ 4 % of the
+/// serve. The wheel wins only at the flash-crowd probe (`.occ20k`:
+/// 31 vs 83 ns), a depth no shipped run reaches. The wheel stays the
+/// default and the heap the reference the equivalence tests compare
+/// against; whether both survive is an open ROADMAP item.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueueKind {
     /// `BinaryHeap<Reverse<T>>` — the reference implementation.
@@ -86,31 +85,15 @@ pub enum QueueKind {
     /// Hierarchical timer wheel — amortized `O(1)` at fleet scale.
     #[default]
     Wheel,
-    /// Pick per run from the fleet-size hint: heap below
-    /// [`AUTO_WHEEL_THRESHOLD`] sessions, wheel at or above it. The
-    /// serving entry points resolve this against
-    /// `PlanSource::remaining_hint` before constructing the queue, so
-    /// either way the run is bit-identical to the kind it delegates to
-    /// (property-pinned).
-    Auto,
 }
 
-/// Fleet-size threshold where [`QueueKind::Auto`] switches from heap
-/// to wheel: the geometric midpoint of the measured 10⁵–10⁶ crossover
-/// in the ARCHITECTURE.md `fleet_scale` table (heap ahead up to ~15%
-/// at 10⁵ reject-only, wheel ahead ~8–10% from 10⁵ tiered through 10⁶).
-pub const AUTO_WHEEL_THRESHOLD: usize = 316_228;
-
 impl QueueKind {
-    /// Resolves `Auto` against a fleet-size hint; `Heap` and `Wheel`
-    /// return themselves unchanged.
+    /// The identity: every kind is concrete. Kept only because
+    /// `benchmark/src/workloads/fleet.rs` calls it and the benchmark's
+    /// files are frozen between benchmark PRs.
     #[must_use]
-    pub fn resolve(self, remaining_hint: usize) -> QueueKind {
-        match self {
-            QueueKind::Auto if remaining_hint < AUTO_WHEEL_THRESHOLD => QueueKind::Heap,
-            QueueKind::Auto => QueueKind::Wheel,
-            other => other,
-        }
+    pub fn resolve(self, _remaining_hint: usize) -> QueueKind {
+        self
     }
 }
 
@@ -293,12 +276,8 @@ impl<T: Ord + TimeKeyed> EventQueue<T> {
         match kind {
             QueueKind::Heap => EventQueue::Heap(BinaryHeap::with_capacity(capacity)),
             // The wheel spreads items across buckets; its heap only
-            // ever holds one slot's worth. A bare `Auto` (callers
-            // should resolve it against the fleet hint first) gets the
-            // fleet-scale default.
-            QueueKind::Wheel | QueueKind::Auto => {
-                EventQueue::Wheel(TimerWheel::with_capacity(64.min(capacity)))
-            }
+            // ever holds one slot's worth.
+            QueueKind::Wheel => EventQueue::Wheel(TimerWheel::with_capacity(64.min(capacity))),
         }
     }
 
@@ -498,25 +477,6 @@ mod tests {
                     break;
                 }
             }
-        }
-    }
-
-    #[test]
-    fn auto_resolves_at_the_measured_crossover() {
-        assert_eq!(QueueKind::Auto.resolve(0), QueueKind::Heap);
-        assert_eq!(
-            QueueKind::Auto.resolve(AUTO_WHEEL_THRESHOLD - 1),
-            QueueKind::Heap
-        );
-        assert_eq!(
-            QueueKind::Auto.resolve(AUTO_WHEEL_THRESHOLD),
-            QueueKind::Wheel
-        );
-        assert_eq!(QueueKind::Auto.resolve(usize::MAX), QueueKind::Wheel);
-        // Concrete kinds resolve to themselves regardless of the hint.
-        for hint in [0, AUTO_WHEEL_THRESHOLD, usize::MAX] {
-            assert_eq!(QueueKind::Heap.resolve(hint), QueueKind::Heap);
-            assert_eq!(QueueKind::Wheel.resolve(hint), QueueKind::Wheel);
         }
     }
 

@@ -35,7 +35,7 @@
 //! [`TieredKvManager::take_migrations`], and both are priced in
 //! [`MIGRATION_CHUNK_BYTES`] DMA chunks.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 
 use vrex_hwsim::tier::{MemTier, TierCapacities, TierPath};
@@ -190,18 +190,18 @@ pub struct RestoreOutcome {
 }
 
 /// Per-session hash-cluster residency: which clusters sit below the
-/// device tier, keyed by **coldness rank** (0 = coldest cluster by the
-/// previous step's WiCSum mass). The spilled set is always a
-/// contiguous key prefix `[0, s)`: demotion appends the next-coldest
+/// device tier, indexed by **coldness rank** (0 = coldest cluster by
+/// the previous step's WiCSum mass). The spilled set is always the
+/// contiguous rank prefix `[0, s)`: demotion pushes the next-coldest
 /// rank, promotion pops the hottest spilled rank, so candidate
 /// discovery is O(1) and iteration order is the ranking itself. Bytes
 /// are frozen at demotion time; the session's device bytes are the
-/// residency total minus the map's bytes.
+/// residency total minus the spilled clusters' bytes.
 #[derive(Debug, Clone, Default)]
 struct ClusterState {
-    /// Spilled clusters by coldness rank. A `BTreeMap` keeps victim
-    /// selection and restore planning in deterministic rank order.
-    spilled: BTreeMap<u64, SpilledCluster>,
+    /// Spilled clusters; the index is the coldness rank, so the
+    /// contiguous-prefix invariant is the `Vec` itself.
+    spilled: Vec<SpilledCluster>,
     /// Steps this session has committed — rotates which tail clusters
     /// the misprediction model touches, so demand fetches are
     /// deterministic without a PRNG.
@@ -439,7 +439,8 @@ impl TieredKvManager {
                 .1
                 .spilled
                 .iter()
-                .map(|(&k, c)| (k, c.tier, c.bytes))
+                .zip(0u64..)
+                .map(|(c, rank)| (rank, c.tier, c.bytes))
                 .collect(),
             Err(_) => Vec::new(),
         }
@@ -659,7 +660,7 @@ impl TieredKvManager {
         let spilled = &self.clusters[ci].1.spilled;
         let mut spec = [0u64; 3];
         let mut spec_clusters = 0u64;
-        for c in spilled.range(tail..).map(|(_, c)| c) {
+        for c in spilled.iter().skip(tail as usize) {
             spec[tier_index(c.tier)] += c.bytes;
             spec_clusters += 1;
         }
@@ -671,7 +672,7 @@ impl TieredKvManager {
         if tail > 0 {
             for j in 0..mispredicted {
                 let cold = (step_seq + j) % tail;
-                if let Some(c) = spilled.get(&cold) {
+                if let Some(c) = spilled.get(cold as usize) {
                     demand[tier_index(c.tier)] += c.bytes;
                     demand_clusters += 1;
                 }
@@ -981,8 +982,8 @@ impl TieredKvManager {
             // device tier it is the next unspilled coldness rank (the
             // spilled set is a contiguous prefix [0, s)); for a lower
             // tier it is the coldest cluster already spilled there
-            // (cascade). `cascade_key` is `None` for a device demotion.
-            let (bytes, cascade_key) = match tier {
+            // (cascade). `cascade_rank` is `None` for a device demotion.
+            let (bytes, cascade_rank) = match tier {
                 MemTier::Device => {
                     let device = self.sessions[si].1.device_bytes;
                     if device == 0 {
@@ -1002,14 +1003,13 @@ impl TieredKvManager {
                     (granule.min(device), None)
                 }
                 _ => {
-                    let found = self.clusters[ci]
-                        .1
-                        .spilled
-                        .range(..limit)
-                        .find(|(_, c)| c.tier == tier)
-                        .map(|(&k, c)| (k, c.bytes));
+                    let spilled = &self.clusters[ci].1.spilled;
+                    let found = spilled
+                        .iter()
+                        .take(limit as usize)
+                        .position(|c| c.tier == tier);
                     match found {
-                        Some((k, bytes)) => (bytes, Some(k)),
+                        Some(rank) => (spilled[rank].bytes, Some(rank)),
                         None => break true,
                     }
                 }
@@ -1039,19 +1039,16 @@ impl TieredKvManager {
             run_to = Some(dest);
             run_bytes += bytes;
             demoted = true;
-            match cascade_key {
+            match cascade_rank {
                 None => {
-                    let s = self.clusters[ci].1.spilled.len() as u64;
                     self.clusters[ci]
                         .1
                         .spilled
-                        .insert(s, SpilledCluster { tier: dest, bytes });
+                        .push(SpilledCluster { tier: dest, bytes });
                     self.sessions[si].1.device_bytes -= bytes;
                 }
-                Some(key) => {
-                    if let Some(c) = self.clusters[ci].1.spilled.get_mut(&key) {
-                        c.tier = dest;
-                    }
+                Some(rank) => {
+                    self.clusters[ci].1.spilled[rank].tier = dest;
                     *tier_bytes_mut(&mut self.sessions[si].1, tier) -= bytes;
                 }
             }
@@ -1102,7 +1099,7 @@ impl TieredKvManager {
             };
             let mut run_from: Option<MemTier> = None;
             let mut run_bytes = 0u64;
-            while let Some((&key, &c)) = self.clusters[ci].1.spilled.iter().next_back() {
+            while let Some(&c) = self.clusters[ci].1.spilled.last() {
                 if c.bytes > free {
                     // The next whole cluster no longer fits: stop the
                     // promotion sweep (deterministic, no best-fit
@@ -1115,7 +1112,7 @@ impl TieredKvManager {
                     );
                     break 'sessions;
                 }
-                self.clusters[ci].1.spilled.remove(&key);
+                self.clusters[ci].1.spilled.pop();
                 *tier_bytes_mut(&mut self.sessions[si].1, c.tier) -= c.bytes;
                 self.sessions[si].1.device_bytes += c.bytes;
                 self.used[tier_index(c.tier)] -= c.bytes;
@@ -1654,7 +1651,7 @@ mod tests {
                 match tier {
                     MemTier::Host => host += b,
                     MemTier::Ssd => ssd += b,
-                    MemTier::Device => panic!("device cluster in the spilled map"),
+                    MemTier::Device => panic!("device cluster in the spilled set"),
                 }
             }
             assert_eq!(host, r.host_bytes);

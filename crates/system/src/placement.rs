@@ -99,7 +99,7 @@ impl PlacementPolicy {
         PlacementPolicy::Migrate,
     ];
 
-    /// Display label used in bench tables and JSON rows.
+    /// Display label used in bench tables.
     pub fn label(&self) -> &'static str {
         match self {
             PlacementPolicy::FirstFit => "first-fit",
@@ -153,8 +153,9 @@ pub struct ShardedServeReport {
     /// Fabric accounting (migration count/bytes, port busy time).
     pub interconnect: InterconnectReport,
     /// Wall-clock nanoseconds each device's serve loop took on the
-    /// host, indexed by device — the in-tree evidence behind parallel
-    /// speedup claims. Observability only: like `ServeCounters`, it is
+    /// host, indexed by device — what the repo benchmark's
+    /// `system.placement.route_share` is derived from. Observability
+    /// only: like `ServeCounters`, it is
     /// **excluded from report equality**, because identical simulated
     /// outcomes take different host time under different worker counts.
     pub device_wall_ns: Vec<u64>,

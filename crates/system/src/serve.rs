@@ -53,7 +53,8 @@
 //! demand) instead of rescanning the fleet — debug builds assert both
 //! against the rescan. Per-kind event counters and queue/active/
 //! pending peaks land in [`ServeReport::counters`] (excluded from
-//! report equality) for `fleet_scale --verbose` style observability.
+//! report equality); the repo benchmark reports them as its
+//! `system.serve.*` metrics.
 //!
 //! 1. **Admission.** What happens when the fleet outgrows device
 //!    memory is a policy choice ([`AdmissionPolicy`]):
@@ -322,9 +323,9 @@ impl PartialEq for ServeReport {
 
 /// Cheap per-run event-loop instrumentation: how many events fired by
 /// kind, how much admission and batching work ran, and the peak sizes
-/// of the scheduler's data structures. `fleet_scale --verbose` prints
-/// these; they are the observability needed to see where the next 10×
-/// of simulator throughput goes.
+/// of the scheduler's data structures. The repo benchmark reports
+/// these as `system.serve.*`; they are the observability needed to see
+/// where the next 10× of simulator throughput goes.
 ///
 /// Fully deterministic for a given (plans, config) pair — including
 /// across [`QueueKind`]s, which the property tests assert — but *not*
@@ -939,7 +940,7 @@ pub(crate) fn run(
         next_plan: None,
         offered: 0,
         pending: Vec::new(),
-        events: EventQueue::new(cfg.queue.resolve(hint), hint.clamp(16, 4096)),
+        events: EventQueue::new(cfg.queue, hint.clamp(16, 4096)),
         slab: Vec::new(),
         free_slots: Vec::new(),
         by_id: HashMap::default(),

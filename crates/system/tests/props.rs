@@ -792,44 +792,4 @@ proptest! {
             prop_assert_eq!(heap_r.counters, streamed.counters);
         }
     }
-
-    /// [`QueueKind::Auto`] is pure delegation: a serve configured with
-    /// `Auto` is bit-identical — report, trace, and counters — to the
-    /// same serve configured with the concrete kind `Auto` resolves to
-    /// for that fleet size (and, by the heap/wheel equivalence above,
-    /// to the other kind as well).
-    #[test]
-    fn auto_queue_kind_delegates_bit_identically(
-        sessions in 1usize..8,
-        turns in 0usize..3,
-        spread in 0.0f64..10.0,
-        cache in 1_000usize..40_000,
-        seed in 0u64..300,
-        tiered_admission in any::<bool>(),
-    ) {
-        let plans = TrafficConfig {
-            sessions,
-            turns,
-            arrival_spread_s: spread,
-            seed,
-        }
-        .generate();
-        let sys = SystemModel::new(PlatformSpec::vrex48(), Method::ReSV);
-        let model = ModelConfig::llama3_8b();
-        let cfg = ServeConfig {
-            admission: if tiered_admission {
-                vrex_system::AdmissionPolicy::tiered_cluster()
-            } else {
-                vrex_system::AdmissionPolicy::RejectOnly
-            },
-            ..ServeConfig::real_time(cache)
-        };
-        let resolved = QueueKind::Auto.resolve(plans.len());
-        let (auto_r, auto_t) =
-            serve_traced(&sys, &model, &plans, &cfg.with_queue(QueueKind::Auto));
-        let (conc_r, conc_t) = serve_traced(&sys, &model, &plans, &cfg.with_queue(resolved));
-        prop_assert_eq!(&auto_t, &conc_t, "Auto trace diverged from resolved {:?}", resolved);
-        prop_assert_eq!(&auto_r, &conc_r, "Auto report diverged from resolved {:?}", resolved);
-        prop_assert_eq!(auto_r.counters, conc_r.counters);
-    }
 }
