@@ -14,9 +14,10 @@
 //! both `vrex_system::placement` and the bench binaries can share one
 //! driver; `vrex_bench::par` re-exports it under its historical path.
 //!
-//! On a single-core runner (`available_parallelism() == 1`) the fan-out
-//! degenerates to an in-order sequential loop with one worker thread —
-//! same results, negligible overhead.
+//! With one worker — a single-core runner
+//! (`available_parallelism() == 1`), an explicit `1`, or a single item
+//! — the fan-out is an in-order loop on the calling thread: same
+//! results, no thread spawned.
 //!
 //! [`timed`] is the only place under `crates/` that reads the host
 //! clock. Everything else that measures host time — throughput,
@@ -68,7 +69,7 @@ where
 }
 
 /// [`par_map`] with an explicit worker count, clamped to
-/// `1..=items.len()`.
+/// `1..=items.len()`; one worker runs `f` on the calling thread.
 ///
 /// The sweep contract is that results — including every observability
 /// counter a unit reports — are a function of the *items only*, never
@@ -85,6 +86,9 @@ where
         return Vec::new();
     }
     let n_workers = n_workers.clamp(1, items.len());
+    if n_workers == 1 {
+        return items.iter().map(f).collect();
+    }
     let cursor = AtomicUsize::new(0);
     let mut pairs: Vec<(usize, R)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..n_workers)
@@ -135,9 +139,19 @@ mod tests {
     }
 
     #[test]
+    fn one_worker_or_one_item_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let ids = par_map_with_workers(&[1, 2, 3], 1, |_| std::thread::current().id());
+        assert_eq!(ids, vec![caller; 3]);
+        let ids = par_map_with_workers(&[1], 8, |_| std::thread::current().id());
+        assert_eq!(ids, vec![caller]);
+    }
+
+    #[test]
     #[should_panic(expected = "sweep worker panicked")]
     fn worker_panics_propagate() {
-        let _ = par_map(&[1, 2, 3], |&i| {
+        // Two workers, so the panic crosses a join even on a one-core host.
+        let _ = par_map_with_workers(&[1, 2, 3], 2, |&i| {
             assert!(i < 3, "boom");
             i
         });

@@ -91,17 +91,27 @@ fn placement_module_is_covered_by_every_rule() {
 #[test]
 fn injected_violation_fails_the_run() {
     let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("vrex_lint_injected");
-    let src_dir = root.join("crates/core/src");
-    std::fs::create_dir_all(&src_dir).expect("tmp tree");
-    std::fs::write(
-        src_dir.join("lib.rs"),
-        "pub fn now() -> std::time::Instant {\n    std::time::Instant::now()\n}\n",
-    )
-    .expect("write injected violation");
+    // A crate root, and a nested module directory: splitting a file into
+    // `src/serve/…` must not move its code out of the scan.
+    let injected = ["crates/core/src/lib.rs", "crates/system/src/serve/sched.rs"];
+    for rel in injected {
+        let path = root.join(rel);
+        std::fs::create_dir_all(path.parent().expect("rel has a parent")).expect("tmp tree");
+        std::fs::write(
+            &path,
+            "pub fn now() -> std::time::Instant {\n    std::time::Instant::now()\n}\n",
+        )
+        .expect("write injected violation");
+    }
     let out = run_workspace(&root).expect("scan tmp tree");
-    assert!(out.unwaived() >= 1, "{}", out.render_text());
-    assert!(out
-        .findings
-        .iter()
-        .any(|f| f.rule == "wall-clock-in-sim" && f.file == "crates/core/src/lib.rs"));
+    assert!(out.unwaived() >= injected.len(), "{}", out.render_text());
+    for rel in injected {
+        assert!(
+            out.findings
+                .iter()
+                .any(|f| f.rule == "wall-clock-in-sim" && f.file == rel),
+            "no finding under {rel}:\n{}",
+            out.render_text()
+        );
+    }
 }

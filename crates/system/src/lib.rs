@@ -55,12 +55,12 @@ pub use memory::{
 };
 pub use method::{Method, MethodProfile};
 pub use placement::{
-    serve_sharded, serve_sharded_stream, serve_sharded_traced, serve_sharded_traced_with_workers,
-    serve_sharded_with_cache, serve_sharded_with_cache_in, DeviceMigration, InterconnectReport,
-    PlacementPolicy, ShardScratch, ShardedServeReport,
+    serve_sharded, serve_sharded_stream, serve_sharded_traced_with_workers,
+    serve_sharded_with_cache_in, DeviceMigration, InterconnectReport, PlacementPolicy,
+    ShardScratch, ShardedServeReport,
 };
 pub use platform::{ComputeSpec, DevicePool, PlatformSpec};
-pub use pricing::{ExecContext, FreshPrices, OverflowPriceCache, StepPriceCache, StepPricer};
+pub use pricing::{ExecContext, StepPriceCache};
 pub use serve::{
     serve, serve_stream, serve_traced, serve_with_cache, ServeConfig, ServeCounters, ServeReport,
     SessionServeReport, TierReport, TraceEvent, TraceKind,

@@ -1,0 +1,384 @@
+//! Cluster-granular cold-data movement: hash clusters, ranked by the
+//! previous step's WiCSum mass, are the unit of spill, promotion and
+//! restore. Spill victims are the coldest *clusters* of any session,
+//! promotions return the hottest, and a restore moves only the
+//! speculated-plus-mispredicted cluster set.
+
+use vrex_hwsim::tier::MemTier;
+use vrex_retrieval::prefetch::{ClusterPrefetchRequest, PrefetchPolicy};
+
+use super::{tier_bytes_mut, tier_index, MigrationTask, RestorePlan, TieredKvManager};
+
+/// Per-session hash-cluster residency: which clusters sit below the
+/// device tier, indexed by **coldness rank** (0 = coldest cluster by
+/// the previous step's WiCSum mass). The spilled set is always the
+/// contiguous rank prefix `[0, s)`: demotion pushes the next-coldest
+/// rank, promotion pops the hottest spilled rank, so candidate
+/// discovery is O(1) and iteration order is the ranking itself. Bytes
+/// are frozen at demotion time; the session's device bytes are the
+/// residency total minus the spilled clusters' bytes.
+#[derive(Debug, Clone, Default)]
+pub(super) struct ClusterState {
+    /// Spilled clusters; the index is the coldness rank, so the
+    /// contiguous-prefix invariant is the `Vec` itself.
+    spilled: Vec<SpilledCluster>,
+    /// Steps this session has committed — rotates which tail clusters
+    /// the misprediction model touches, so demand fetches are
+    /// deterministic without a PRNG.
+    pub(super) step_seq: u64,
+}
+
+/// One spilled cluster's location and frozen size.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SpilledCluster {
+    tier: MemTier,
+    bytes: u64,
+}
+
+/// Cluster-mode knobs, fixed per manager instance.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(super) struct ClusterModeCfg {
+    /// Bytes per hash cluster (the method's fetch chunk).
+    pub(super) cluster_bytes: u64,
+    /// Fraction of each session's clusters (the WiCSum-hot prefix)
+    /// protected from first-pass spill.
+    protected_ratio: f64,
+}
+
+/// Ceiling on tracked clusters per session. Token-granular methods
+/// (4 KiB fetch chunks on multi-GiB sessions) would otherwise mean
+/// millions of per-cluster entries and O(clusters) restore planning
+/// every step; above the cap, adjacent fetch chunks are DMA-chained
+/// into one migration granule. Methods whose chunk already keeps a
+/// session under the cap (e.g. ReSV frame clusters) are unaffected.
+const MAX_CLUSTERS_PER_SESSION: u64 = 16384;
+
+impl ClusterModeCfg {
+    /// Effective migration granule for a session of `total` bytes:
+    /// the method's fetch chunk, chained up just enough to respect
+    /// [`MAX_CLUSTERS_PER_SESSION`].
+    fn granule(&self, total: u64) -> u64 {
+        self.cluster_bytes
+            .max(total.div_ceil(MAX_CLUSTERS_PER_SESSION))
+    }
+}
+
+impl TieredKvManager {
+    /// Enables cluster-granular cold-data tracking: resident demand is
+    /// modelled as `ceil(total / cluster_bytes)` hash clusters (chained
+    /// into coarser granules past 16384 clusters per session) ranked
+    /// by the previous step's WiCSum mass, spill victims are the
+    /// coldest *clusters* of any session (the hottest
+    /// `ceil(protected_ratio · n)` clusters of each session are
+    /// protected from first-pass eviction), and restores move only the
+    /// speculated-plus-mispredicted cluster set. Must be called before
+    /// any stream is admitted; migrations are priced in cluster-sized
+    /// chunks from here on.
+    pub fn with_cluster_mode(mut self, cluster_bytes: u64, protected_ratio: f64) -> Self {
+        debug_assert!(
+            self.sessions.is_empty(),
+            "enable cluster mode before admitting streams"
+        );
+        self.cluster_mode = Some(ClusterModeCfg {
+            cluster_bytes: cluster_bytes.max(1),
+            protected_ratio: protected_ratio.clamp(0.0, 1.0),
+        });
+        self
+    }
+
+    /// Cluster-mode knobs, if enabled: `(cluster_bytes,
+    /// protected_ratio)`.
+    pub fn cluster_params(&self) -> Option<(u64, f64)> {
+        self.cluster_mode
+            .map(|c| (c.cluster_bytes, c.protected_ratio))
+    }
+
+    /// One stream's spilled clusters as `(coldness_rank, tier, bytes)`
+    /// in ascending rank order (coldest first). Empty when the stream
+    /// is fully device-resident or cluster mode is off.
+    pub fn spilled_clusters(&self, id: usize) -> Vec<(u64, MemTier, u64)> {
+        match self.slot(id) {
+            Ok(i) => self.sessions[i]
+                .clusters
+                .spilled
+                .iter()
+                .zip(0u64..)
+                .map(|(c, rank)| (rank, c.tier, c.bytes))
+                .collect(),
+            Err(_) => Vec::new(),
+        }
+    }
+
+    /// Cluster-granular restore plan: intersect the policy's predicted
+    /// hot cluster set with this session's spilled clusters
+    /// (speculated legs), plus the mispredicted tail clusters that
+    /// turn out to be spilled (demand legs). `None` when the policy is
+    /// cluster-blind.
+    pub(super) fn cluster_restore_plan(
+        &mut self,
+        slot: usize,
+        ratio: f64,
+        generation: bool,
+        cfg: ClusterModeCfg,
+        prefetch: &dyn PrefetchPolicy,
+    ) -> Option<RestorePlan> {
+        let s = &self.sessions[slot];
+        let id = s.id;
+        let total = s.res.total_bytes();
+        let n = total.div_ceil(cfg.granule(total));
+        let step_seq = s.clusters.step_seq;
+        let cp = prefetch.cluster_plan(&ClusterPrefetchRequest {
+            clusters: n,
+            selection_ratio: ratio,
+            generation,
+            step_seq,
+        })?;
+        let predicted = cp.predicted.min(n);
+        let tail = n - predicted;
+        let mispredicted = cp.mispredicted.min(tail);
+        // Predicted-hot clusters are hotness ranks [0, predicted) =
+        // coldness ranks [tail, n); the spilled ones stream up
+        // speculatively from work-visibility.
+        let spilled = &s.clusters.spilled;
+        let mut spec = [0u64; 3];
+        let mut spec_clusters = 0u64;
+        for c in spilled.iter().skip(tail as usize) {
+            spec[tier_index(c.tier)] += c.bytes;
+            spec_clusters += 1;
+        }
+        // Mispredictions rotate deterministically through the tail
+        // (coldness ranks [0, tail)); only the ones that are actually
+        // spilled cost a demand fetch.
+        let mut demand = [0u64; 3];
+        let mut demand_clusters = 0u64;
+        if tail > 0 {
+            for j in 0..mispredicted {
+                let cold = (step_seq + j) % tail;
+                if let Some(c) = spilled.get(cold as usize) {
+                    demand[tier_index(c.tier)] += c.bytes;
+                    demand_clusters += 1;
+                }
+            }
+        }
+        let host_bytes = spec[1] + demand[1];
+        let ssd_bytes = spec[2] + demand[2];
+        let host_ps = self.migration_price_ps(MemTier::Host, MemTier::Device, host_bytes);
+        let ssd_ps = self.migration_price_ps(MemTier::Ssd, MemTier::Device, ssd_bytes);
+        let spec_bytes = spec[1] + spec[2];
+        let demand_bytes = demand[1] + demand[2];
+        let bytes = spec_bytes + demand_bytes;
+        Some(RestorePlan {
+            host_bytes,
+            ssd_bytes,
+            host_ps,
+            ssd_ps,
+            // Display-only for cluster plans; the schedulers split
+            // hidden time with exact integer byte ratios instead.
+            coverage: if bytes > 0 {
+                spec_bytes as f64 / bytes as f64
+            } else {
+                0.0
+            },
+            spec_bytes,
+            demand_bytes,
+            cluster: true,
+            session: id,
+            spec_clusters,
+            demand_clusters,
+            mispredicted_clusters: mispredicted,
+        })
+    }
+
+    /// Cluster-granular spill: while `tier` is over budget, demote the
+    /// coldest clusters of the coldest sessions. Pass 1 only takes
+    /// each session's unprotected cold tail; pass 2 (pressure still
+    /// unresolved) may evict protected WiCSum-hot clusters too — a hot
+    /// session's cold clusters leave before any session's hot ones.
+    pub(super) fn spill_tier_clusters(&mut self, tier: MemTier, cfg: ClusterModeCfg) {
+        let src = tier_index(tier);
+        if self.used[src] <= self.caps.capacity(tier) {
+            return;
+        }
+        // Coldest sessions first; ties resolve to the smaller id.
+        let mut order: Vec<usize> = (0..self.sessions.len()).collect();
+        order.sort_by_key(|&i| (self.sessions[i].res.last_active_ps, self.sessions[i].id));
+        for protected_pass in [false, true] {
+            for &si in &order {
+                if self.used[src] <= self.caps.capacity(tier) {
+                    return;
+                }
+                if !self.demote_session_clusters(si, tier, cfg, protected_pass) {
+                    // Hierarchy full: leave the tier over budget
+                    // (admission control prevents this in practice).
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Demotes clusters of one session out of `tier` until the tier
+    /// fits or the session has nothing (in this pass's class) left.
+    /// Returns `false` when no lower tier has room for a cluster.
+    fn demote_session_clusters(
+        &mut self,
+        si: usize,
+        tier: MemTier,
+        cfg: ClusterModeCfg,
+        protected_pass: bool,
+    ) -> bool {
+        let src = tier_index(tier);
+        let cap = self.caps.capacity(tier);
+        let id = self.sessions[si].id;
+        let total = self.sessions[si].res.total_bytes();
+        if total == 0 {
+            return true;
+        }
+        let granule = cfg.granule(total);
+        let n = total.div_ceil(granule);
+        let protected = protected_clusters(n, cfg.protected_ratio);
+        // Coldness ranks this pass may demote up to: the unprotected
+        // tail first, the whole session only under residual pressure.
+        let limit = if protected_pass { n } else { n - protected };
+        // Consecutive same-route clusters coalesce into one task.
+        let mut run: Option<(MemTier, MemTier)> = None;
+        let mut run_bytes = 0u64;
+        let ok = loop {
+            if self.used[src] <= cap {
+                break true;
+            }
+            // Next coldest candidate in this pass's class: for the
+            // device tier it is the next unspilled coldness rank (the
+            // spilled set is a contiguous prefix [0, s)); for a lower
+            // tier it is the coldest cluster already spilled there
+            // (cascade). `cascade_rank` is `None` for a device demotion.
+            let (bytes, cascade_rank) = match tier {
+                MemTier::Device => {
+                    let device = self.sessions[si].res.device_bytes;
+                    if device == 0 {
+                        break true;
+                    }
+                    // Spilled mass in current-granule units: exactly
+                    // the spilled-cluster count for a static granule,
+                    // and the current-granule equivalent of stale
+                    // finer clusters once chaining has coarsened it —
+                    // so the protected prefix keeps its byte meaning.
+                    // The protected pass demotes everything, so only
+                    // `device == 0` stops it.
+                    let s = self.sessions[si].res.spilled_bytes().div_ceil(granule);
+                    if !protected_pass && s >= limit {
+                        break true;
+                    }
+                    (granule.min(device), None)
+                }
+                _ => {
+                    let spilled = &self.sessions[si].clusters.spilled;
+                    let found = spilled
+                        .iter()
+                        .take(limit as usize)
+                        .position(|c| c.tier == tier);
+                    match found {
+                        Some(rank) => (spilled[rank].bytes, Some(rank)),
+                        None => break true,
+                    }
+                }
+            };
+            // Nearest lower tier with room for this whole cluster —
+            // clusters never straddle tiers.
+            let dest = self.caps.below(tier).find(|&t| {
+                self.caps
+                    .capacity(t)
+                    .saturating_sub(self.used[tier_index(t)])
+                    >= bytes
+            });
+            let Some(dest) = dest else {
+                break false;
+            };
+            if run.is_some() && run != Some((tier, dest)) {
+                flush_run(&mut self.pending_migrations, id, &mut run, &mut run_bytes);
+            }
+            run = Some((tier, dest));
+            run_bytes += bytes;
+            let s = &mut self.sessions[si];
+            match cascade_rank {
+                None => {
+                    s.clusters
+                        .spilled
+                        .push(SpilledCluster { tier: dest, bytes });
+                    s.res.device_bytes -= bytes;
+                }
+                Some(rank) => {
+                    s.clusters.spilled[rank].tier = dest;
+                    *tier_bytes_mut(&mut s.res, tier) -= bytes;
+                }
+            }
+            *tier_bytes_mut(&mut s.res, dest) += bytes;
+            self.used[src] -= bytes;
+            self.used[tier_index(dest)] += bytes;
+            self.stats.spilled_bytes += bytes;
+        };
+        if run.is_some() {
+            self.ever_spilled.insert(id);
+        }
+        flush_run(&mut self.pending_migrations, id, &mut run, &mut run_bytes);
+        ok
+    }
+    /// Cluster-granular promotion into `free` device bytes: sessions in
+    /// `order`, and within a session the hottest spilled cluster
+    /// (highest coldness rank) first — whole clusters only.
+    pub(super) fn promote_clusters(&mut self, order: Vec<usize>, mut free: u64) {
+        'sessions: for si in order {
+            let id = self.sessions[si].id;
+            let mut run: Option<(MemTier, MemTier)> = None;
+            let mut run_bytes = 0u64;
+            while let Some(&c) = self.sessions[si].clusters.spilled.last() {
+                if c.bytes > free {
+                    // The next whole cluster no longer fits: stop the
+                    // promotion sweep (deterministic, no best-fit
+                    // search through smaller partial clusters).
+                    flush_run(&mut self.pending_migrations, id, &mut run, &mut run_bytes);
+                    break 'sessions;
+                }
+                let s = &mut self.sessions[si];
+                s.clusters.spilled.pop();
+                *tier_bytes_mut(&mut s.res, c.tier) -= c.bytes;
+                s.res.device_bytes += c.bytes;
+                self.used[tier_index(c.tier)] -= c.bytes;
+                self.used[tier_index(MemTier::Device)] += c.bytes;
+                free -= c.bytes;
+                self.stats.promoted_bytes += c.bytes;
+                if run.is_some() && run != Some((c.tier, MemTier::Device)) {
+                    flush_run(&mut self.pending_migrations, id, &mut run, &mut run_bytes);
+                }
+                run = Some((c.tier, MemTier::Device));
+                run_bytes += c.bytes;
+            }
+            flush_run(&mut self.pending_migrations, id, &mut run, &mut run_bytes);
+            if free == 0 {
+                break;
+            }
+        }
+    }
+}
+/// Clusters of an `n`-cluster session protected from first-pass spill
+/// (the WiCSum-hot prefix).
+fn protected_clusters(n: u64, ratio: f64) -> u64 {
+    ((n as f64 * ratio).ceil() as u64).min(n)
+}
+
+/// Emits the one coalesced task of a finished same-route run of
+/// cluster moves (`run` is the `(from, to)` route), leaving it empty.
+fn flush_run(
+    pending: &mut Vec<MigrationTask>,
+    session: usize,
+    run: &mut Option<(MemTier, MemTier)>,
+    run_bytes: &mut u64,
+) {
+    if let Some((from, to)) = run.take() {
+        pending.push(MigrationTask {
+            session,
+            from,
+            to,
+            bytes: std::mem::take(run_bytes),
+        });
+    }
+}

@@ -1,0 +1,129 @@
+//! Flat cold-data movement: spills and promotions move byte fractions
+//! of whole streams (coldest out, hottest back), and a restore is the
+//! selected share of a stream's spilled bytes per source tier.
+
+use vrex_hwsim::tier::MemTier;
+use vrex_retrieval::prefetch::{PrefetchPolicy, PrefetchRequest};
+
+use super::{tier_bytes, tier_bytes_mut, tier_index, MigrationTask, RestorePlan, TieredKvManager};
+
+impl TieredKvManager {
+    /// The flat restore plan of the stream in `slot`: `ratio` of its
+    /// spilled bytes per source tier, covered by the policy's flat
+    /// byte-fraction speculation.
+    pub(super) fn flat_restore_plan(
+        &mut self,
+        slot: usize,
+        ratio: f64,
+        generation: bool,
+        prefetch: &dyn PrefetchPolicy,
+    ) -> RestorePlan {
+        let r = self.sessions[slot].res;
+        let host_bytes = (r.host_bytes as f64 * ratio).ceil() as u64;
+        let ssd_bytes = (r.ssd_bytes as f64 * ratio).ceil() as u64;
+        let host_ps = self.migration_price_ps(MemTier::Host, MemTier::Device, host_bytes);
+        let ssd_ps = self.migration_price_ps(MemTier::Ssd, MemTier::Device, ssd_bytes);
+        if host_ps + ssd_ps == 0 {
+            return RestorePlan::default();
+        }
+        let plan = prefetch.plan(&PrefetchRequest {
+            cold_bytes: r.spilled_bytes(),
+            selection_ratio: ratio,
+            generation,
+        });
+        RestorePlan {
+            host_bytes,
+            ssd_bytes,
+            host_ps,
+            ssd_ps,
+            coverage: plan.coverage(host_bytes + ssd_bytes),
+            ..RestorePlan::default()
+        }
+    }
+
+    /// Flat spill: while `tier` is over budget, moves the coldest
+    /// stream's bytes to the nearest lower tier with room.
+    pub(super) fn spill_tier(&mut self, tier: MemTier) {
+        loop {
+            let used = self.used[tier_index(tier)];
+            let cap = self.caps.capacity(tier);
+            if used <= cap {
+                return;
+            }
+            let overflow = used - cap;
+            // Coldest stream holding bytes in this tier; ties resolve
+            // to the smallest id.
+            let Some(victim) = self
+                .sessions
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| tier_bytes(&s.res, tier) > 0)
+                .min_by_key(|(_, s)| (s.res.last_active_ps, s.id))
+                .map(|(i, _)| i)
+            else {
+                return;
+            };
+            // Nearest lower tier with room.
+            let Some((dest, room)) = self
+                .caps
+                .below(tier)
+                .map(|t| {
+                    (
+                        t,
+                        self.caps
+                            .capacity(t)
+                            .saturating_sub(self.used[tier_index(t)]),
+                    )
+                })
+                .find(|&(_, room)| room > 0)
+            else {
+                // Hierarchy full: leave the tier over budget (admission
+                // control is responsible for not letting this happen).
+                return;
+            };
+            let s = &mut self.sessions[victim];
+            let moved = tier_bytes(&s.res, tier).min(overflow).min(room);
+            *tier_bytes_mut(&mut s.res, tier) -= moved;
+            *tier_bytes_mut(&mut s.res, dest) += moved;
+            let victim_id = s.id;
+            self.used[tier_index(tier)] -= moved;
+            self.used[tier_index(dest)] += moved;
+            self.stats.spilled_bytes += moved;
+            self.ever_spilled.insert(victim_id);
+            self.pending_migrations.push(MigrationTask {
+                session: victim_id,
+                from: tier,
+                to: dest,
+                bytes: moved,
+            });
+        }
+    }
+
+    /// Flat promotion: each stream in `order` takes back as many of its
+    /// spilled bytes as still fit in `free`, host DRAM before SSD.
+    pub(super) fn promote_flat(&mut self, order: Vec<usize>, mut free: u64) {
+        for i in order {
+            if free == 0 {
+                break;
+            }
+            let s = &mut self.sessions[i];
+            for tier in [MemTier::Host, MemTier::Ssd] {
+                let moved = tier_bytes(&s.res, tier).min(free);
+                *tier_bytes_mut(&mut s.res, tier) -= moved;
+                s.res.device_bytes += moved;
+                self.used[tier_index(tier)] -= moved;
+                self.used[tier_index(MemTier::Device)] += moved;
+                free -= moved;
+                self.stats.promoted_bytes += moved;
+                if moved > 0 {
+                    self.pending_migrations.push(MigrationTask {
+                        session: s.id,
+                        from: tier,
+                        to: MemTier::Device,
+                        bytes: moved,
+                    });
+                }
+            }
+        }
+    }
+}

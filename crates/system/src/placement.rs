@@ -57,7 +57,7 @@ use crate::e2e::SystemModel;
 use crate::memory::{AdmissionPolicy, MIGRATION_CHUNK_BYTES};
 use crate::method::Method;
 use crate::platform::DevicePool;
-use crate::pricing::{OverflowPriceCache, StepPriceCache};
+use crate::pricing::StepPriceCache;
 use crate::serve::{run, ServeConfig, ServeReport, TraceEvent};
 
 /// How arriving sessions are assigned to the devices of a pool.
@@ -85,8 +85,9 @@ pub enum PlacementPolicy {
     /// (`id mod N`, the device that served it last); placing it
     /// elsewhere copies the resident initial-context KV across the
     /// fabric first, and the session's effective arrival waits for the
-    /// copy. The copies are scheduled as lowest-priority fabric work
-    /// and drained via [`take_migrations`-style batching](crate::memory::TieredKvManager::take_migrations).
+    /// copy. The copies are scheduled as lowest-priority fabric work,
+    /// decided then drained like the tier manager's
+    /// [`MigrationTask`](crate::memory::MigrationTask)s.
     Migrate,
 }
 
@@ -159,9 +160,9 @@ pub struct ShardedServeReport {
     /// **excluded from report equality**, because identical simulated
     /// outcomes take different host time under different worker counts.
     pub device_wall_ns: Vec<u64>,
-    /// Worker threads the per-device serve loops ran on (1 = the
-    /// sequential fast path sharing the mutable price cache). Excluded
-    /// from report equality alongside `device_wall_ns`.
+    /// Workers the per-device serve loops ran on (1 = in order on the
+    /// calling thread). Excluded from report equality alongside
+    /// `device_wall_ns`.
     pub workers: usize,
 }
 
@@ -340,9 +341,7 @@ impl<'a> Placer<'a> {
         target
     }
 
-    /// Drains the migrations decided since the last drain (the same
-    /// batching idiom as
-    /// [`crate::memory::TieredKvManager::take_migrations`]).
+    /// Drains the migrations decided since the last drain.
     fn take_migrations(&mut self) -> Vec<DeviceMigration> {
         std::mem::take(&mut self.pending)
     }
@@ -425,12 +424,6 @@ fn route(
     (placements, report)
 }
 
-/// Default worker count for sharded serving: every core the host
-/// offers (the per-device fan-out is clamped to the pool size).
-fn default_workers() -> usize {
-    host_workers()
-}
-
 #[allow(clippy::too_many_arguments)]
 fn run_sharded(
     prices: &mut StepPriceCache,
@@ -453,53 +446,31 @@ fn run_sharded(
     let n = pool.devices();
     let workers = workers.clamp(1, n);
     let want_traces = traces.is_some();
+    // Each device serves through its own fork of the warmed cache, and
+    // the join returns results in device order. Devices only interact
+    // through the placement pass (already complete) and the fabric
+    // timeline (already priced), and serve outcomes never depend on
+    // cache contents, so the reports are the same at every worker
+    // count — one worker simply serves the devices in order on this
+    // thread.
+    let base: &StepPriceCache = prices;
+    let outcomes = par_map_with_workers(&scratch.routed, workers, |sub| {
+        let mut fork = base.fork();
+        let mut trace = want_traces.then(Vec::new);
+        let (report, wall_ns) =
+            timed(|| run(&mut fork, &mut SlicePlans::new(sub), cfg, trace.as_mut()));
+        (report, wall_ns, trace, fork)
+    });
     let mut devices = Vec::with_capacity(n);
     let mut device_wall_ns = Vec::with_capacity(n);
-    if workers <= 1 {
-        // Sequential fast path: the per-device runs share the mutable
-        // price cache directly. Outcomes are identical to the parallel
-        // path by contract (pricing never changes a result; the
-        // property tests pin it), so this is purely the
-        // zero-thread-overhead variant.
-        for sub in &scratch.routed {
-            let trace = match traces.as_deref_mut() {
-                Some(ts) => {
-                    ts.push(Vec::new());
-                    ts.last_mut()
-                }
-                None => None,
-            };
-            let (report, wall_ns) = timed(|| run(prices, &mut SlicePlans::new(sub), cfg, trace));
-            devices.push(report);
-            device_wall_ns.push(wall_ns);
-        }
-    } else {
-        // Parallel path: the warmed cache freezes into a `&`-shared
-        // read path; each worker serves its device through a private
-        // overflow overlay, and the scoped join returns results in
-        // device order. Devices only interact through the placement
-        // pass (already complete) and the fabric timeline (already
-        // priced), so the fan-out is embarrassingly parallel and —
-        // because serve outcomes never depend on cache contents —
-        // byte-identical to the sequential path.
-        let base: &StepPriceCache = prices;
-        let outcomes = par_map_with_workers(&scratch.routed, workers, |sub| {
-            let mut overlay = OverflowPriceCache::new(base);
-            let mut trace = want_traces.then(Vec::new);
-            let (report, wall_ns) =
-                timed(|| run(&mut overlay, &mut SlicePlans::new(sub), cfg, trace.as_mut()));
-            (report, wall_ns, trace, overlay.into_fresh())
-        });
-        for (report, wall_ns, trace, fresh) in outcomes {
-            // Fresh prices merge back in device order: the parent
-            // cache's content after the join is a deterministic
-            // function of the fleet, never of thread scheduling.
-            prices.absorb(fresh);
-            devices.push(report);
-            device_wall_ns.push(wall_ns);
-            if let (Some(ts), Some(t)) = (traces.as_deref_mut(), trace) {
-                ts.push(t);
-            }
+    for (report, wall_ns, trace, fork) in outcomes {
+        // Forks merge back in device order: the parent cache after the
+        // join is a function of the fleet, never of thread scheduling.
+        prices.absorb(fork);
+        devices.push(report);
+        device_wall_ns.push(wall_ns);
+        if let (Some(ts), Some(t)) = (traces.as_deref_mut(), trace) {
+            ts.push(t);
         }
     }
     ShardedServeReport {
@@ -512,7 +483,8 @@ fn run_sharded(
 }
 
 /// Serves a fleet across a [`DevicePool`] under a [`PlacementPolicy`],
-/// reporting per-device serve outcomes plus fabric accounting.
+/// reporting per-device serve outcomes plus fabric accounting, on every
+/// core the host offers.
 ///
 /// Deterministic, like [`crate::serve::serve`]: the only randomness is
 /// in the plans. With a pool of one device this is byte-identical to
@@ -526,41 +498,24 @@ pub fn serve_sharded(
     policy: PlacementPolicy,
 ) -> ShardedServeReport {
     let sys = SystemModel::new(pool.device().clone(), method);
-    serve_sharded_with_cache(
+    serve_sharded_with_cache_in(
         &mut StepPriceCache::new(&sys, model),
         pool,
         plans,
         cfg,
         policy,
-    )
-}
-
-/// [`serve_sharded`] against a caller-owned price cache (built over the
-/// pool's device platform). Devices are identical, so one cache serves
-/// the whole pool — and whole sweeps, across device counts.
-pub fn serve_sharded_with_cache(
-    prices: &mut StepPriceCache,
-    pool: &DevicePool,
-    plans: &[SessionPlan],
-    cfg: &ServeConfig,
-    policy: PlacementPolicy,
-) -> ShardedServeReport {
-    serve_sharded_with_cache_in(
-        prices,
-        pool,
-        plans,
-        cfg,
-        policy,
-        default_workers(),
+        host_workers(),
         &mut ShardScratch::new(),
     )
 }
 
-/// [`serve_sharded_with_cache`] with an explicit worker count and a
-/// caller-owned [`ShardScratch`]. Sweeps that serve many fleets over
-/// one pool recycle the scratch's per-device sub-fleet buffers across
-/// serves; `workers` is clamped to `1..=pool.devices()`, and `1` takes
-/// the sequential fast path (no threads, shared mutable cache).
+/// [`serve_sharded`] against a caller-owned price cache (built over the
+/// pool's device platform; devices are identical, so one cache serves
+/// the whole pool — and whole sweeps, across device counts), with an
+/// explicit worker count and a caller-owned [`ShardScratch`]. Sweeps
+/// that serve many fleets over one pool recycle the scratch's
+/// per-device sub-fleet buffers across serves; `workers` is clamped to
+/// `1..=pool.devices()`.
 pub fn serve_sharded_with_cache_in(
     prices: &mut StepPriceCache,
     pool: &DevicePool,
@@ -582,11 +537,12 @@ pub fn serve_sharded_with_cache_in(
     )
 }
 
-/// [`serve_sharded_with_cache`] over a streaming [`PlanSource`]. The
-/// placement pass consumes the source one plan at a time; per-device
-/// sub-fleets are materialized (memory is sized by the fleet, not by
-/// concurrency — acceptable at placement-study scale). A materialized
-/// slice routed through [`SlicePlans`] produces the identical report.
+/// [`serve_sharded_with_cache_in`] over a streaming [`PlanSource`], on
+/// every core the host offers. The placement pass consumes the source
+/// one plan at a time; per-device sub-fleets are materialized (memory
+/// is sized by the fleet, not by concurrency — acceptable at
+/// placement-study scale). A materialized slice routed through
+/// [`SlicePlans`] produces the identical report.
 pub fn serve_sharded_stream(
     prices: &mut StepPriceCache,
     pool: &DevicePool,
@@ -601,27 +557,15 @@ pub fn serve_sharded_stream(
         cfg,
         policy,
         None,
-        default_workers(),
+        host_workers(),
         &mut ShardScratch::new(),
     )
 }
 
-/// [`serve_sharded`] that also records every device's scheduler trace
-/// (indexed by device). The cross-device golden-trace fingerprints and
-/// the N = 1 byte-identity tests are built on this seam.
-pub fn serve_sharded_traced(
-    pool: &DevicePool,
-    method: Method,
-    model: &ModelConfig,
-    plans: &[SessionPlan],
-    cfg: &ServeConfig,
-    policy: PlacementPolicy,
-) -> (ShardedServeReport, Vec<Vec<TraceEvent>>) {
-    serve_sharded_traced_with_workers(pool, method, model, plans, cfg, policy, default_workers())
-}
-
-/// [`serve_sharded_traced`] with an explicit worker count — the seam
-/// the parallel-vs-sequential byte-identity property tests drive.
+/// [`serve_sharded`] with an explicit worker count that also records
+/// every device's scheduler trace (indexed by device). The cross-device
+/// golden-trace fingerprints, the N = 1 byte-identity tests and the
+/// parallel-vs-sequential property tests are built on this seam.
 #[allow(clippy::too_many_arguments)]
 pub fn serve_sharded_traced_with_workers(
     pool: &DevicePool,
@@ -708,8 +652,15 @@ mod tests {
             let sys = SystemModel::new(PlatformSpec::vrex48(), Method::ReSV);
             let (expect, expect_trace) = serve_traced(&sys, &model, &plans, cfg);
             for policy in PlacementPolicy::ALL {
-                let (got, traces) =
-                    serve_sharded_traced(&pool, Method::ReSV, &model, &plans, cfg, policy);
+                let (got, traces) = serve_sharded_traced_with_workers(
+                    &pool,
+                    Method::ReSV,
+                    &model,
+                    &plans,
+                    cfg,
+                    policy,
+                    host_workers(),
+                );
                 assert_eq!(got.devices.len(), 1);
                 assert_eq!(got.devices[0], expect, "{} report drifted", policy.label());
                 assert_eq!(
@@ -903,13 +854,14 @@ mod tests {
                 let cfg = ServeConfig::real_time(32_000)
                     .with_overlap(overlap)
                     .with_queue(queue);
-                let (_, traces) = serve_sharded_traced(
+                let (_, traces) = serve_sharded_traced_with_workers(
                     &pool,
                     Method::ReSV,
                     &model,
                     &plans,
                     &cfg,
                     PlacementPolicy::FirstFit,
+                    host_workers(),
                 );
                 let got = [trace_fingerprint(&traces[0]), trace_fingerprint(&traces[1])];
                 assert_eq!(

@@ -6,9 +6,9 @@ use vrex_model::ModelConfig;
 use vrex_system::pipeline::{cold_selected_tokens, layer_costs, selected_tokens, Workload};
 use vrex_system::serve::SessionOutcome;
 use vrex_system::{
-    serve, serve_sharded, serve_sharded_stream, serve_sharded_traced,
-    serve_sharded_traced_with_workers, serve_sharded_with_cache, serve_stream, serve_traced,
-    DevicePool, Method, PlacementPolicy, PlatformSpec, QueueKind, ServeConfig, StepPriceCache,
+    serve, serve_sharded, serve_sharded_stream, serve_sharded_traced_with_workers,
+    serve_sharded_with_cache_in, serve_stream, serve_traced, DevicePool, ExecContext, Method,
+    PlacementPolicy, PlatformSpec, QueueKind, ServeConfig, ShardScratch, StepPriceCache,
     SystemModel, TieredKvManager, TraceKind,
 };
 use vrex_workload::traffic::TrafficConfig;
@@ -390,15 +390,15 @@ proptest! {
         let mut prices = StepPriceCache::new(&sys, &model);
         for _ in 0..2 {
             prop_assert_eq!(
-                prices.frame_step(cache_tokens, batch),
+                prices.frame_step_in(ExecContext::Serialized, cache_tokens, batch),
                 sys.frame_step(&model, cache_tokens, batch)
             );
             prop_assert_eq!(
-                prices.decode_step(cache_tokens, batch),
+                prices.decode_step_in(ExecContext::Serialized, cache_tokens, batch),
                 sys.decode_step(&model, cache_tokens, batch)
             );
             prop_assert_eq!(
-                prices.question_step(cache_tokens, batch, question),
+                prices.question_step_in(ExecContext::Serialized, cache_tokens, batch, question),
                 sys.question_step(&model, cache_tokens, batch, question)
             );
         }
@@ -520,11 +520,12 @@ proptest! {
         let pool = DevicePool::homogeneous(PlatformSpec::vrex48(), devices);
         let model = ModelConfig::llama3_8b();
         let cfg = ServeConfig::real_time(cache);
-        let (heap, heap_t) = serve_sharded_traced(
-            &pool, Method::ReSV, &model, &plans, &cfg.with_queue(QueueKind::Heap), policy,
+        let workers = vrex_core::par::workers();
+        let (heap, heap_t) = serve_sharded_traced_with_workers(
+            &pool, Method::ReSV, &model, &plans, &cfg.with_queue(QueueKind::Heap), policy, workers,
         );
-        let (wheel, wheel_t) = serve_sharded_traced(
-            &pool, Method::ReSV, &model, &plans, &cfg.with_queue(QueueKind::Wheel), policy,
+        let (wheel, wheel_t) = serve_sharded_traced_with_workers(
+            &pool, Method::ReSV, &model, &plans, &cfg.with_queue(QueueKind::Wheel), policy, workers,
         );
         prop_assert_eq!(&heap_t, &wheel_t, "device traces diverged between event cores");
         prop_assert_eq!(&heap, &wheel, "sharded reports diverged between event cores");
@@ -547,7 +548,9 @@ proptest! {
         // Streamed plan delivery reproduces the materialized report.
         let sys = SystemModel::new(PlatformSpec::vrex48(), Method::ReSV);
         let mut prices = StepPriceCache::new(&sys, &model);
-        let materialized = serve_sharded_with_cache(&mut prices, &pool, &plans, &cfg, policy);
+        let materialized = serve_sharded_with_cache_in(
+            &mut prices, &pool, &plans, &cfg, policy, workers, &mut ShardScratch::new(),
+        );
         let streamed = serve_sharded_stream(&mut prices, &pool, &mut traffic.stream(), &cfg, policy);
         prop_assert_eq!(&materialized, &streamed, "streamed vs materialized sharded reports");
         prop_assert_eq!(&materialized, &heap);
@@ -702,7 +705,7 @@ proptest! {
             }
             // Migrations are decisions for the scheduler; drain them so
             // the queue does not grow unboundedly in this test.
-            let _ = mgr.take_migrations();
+            mgr.drain_migrations_into(&mut Vec::new());
             let mut host_total = 0u64;
             let mut ssd_total = 0u64;
             for &s in &live {
