@@ -34,9 +34,14 @@ use crate::time::ps_to_seconds;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ResourceId(usize);
 
-/// Identifies a scheduled task.
+/// Handle to a scheduled task. It carries the task's own start and end
+/// instants, so the engine keeps no per-task record: dependencies and
+/// [`Engine::start_of`] / [`Engine::end_of`] read the handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TaskId(usize);
+pub struct TaskId {
+    start: u64,
+    end: u64,
+}
 
 /// One recorded busy interval on a resource.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,8 +52,9 @@ pub struct BusyInterval {
     pub end: u64,
     /// Bytes moved during the interval (0 for pure compute).
     pub bytes: u64,
-    /// Human-readable tag.
-    pub tag: String,
+    /// Human-readable tag. Static so that recording an interval never
+    /// allocates: a timeline holds one per reservation.
+    pub tag: &'static str,
 }
 
 #[derive(Debug)]
@@ -58,19 +64,21 @@ struct Resource {
     /// or after this, so appended tasks stay FIFO even when earlier
     /// gaps exist.
     next_free: u64,
-    /// Busy intervals, kept sorted by start and non-overlapping.
+    /// Busy intervals, kept sorted by start and non-overlapping. Every
+    /// recorded interval has `end > start`, so the ends are sorted too
+    /// — the invariant the binary searches below rely on.
     busy: Vec<BusyInterval>,
 }
 
 impl Resource {
     /// Earliest start `>= earliest` where `duration` fits into a gap of
-    /// the (sorted, non-overlapping) timeline.
+    /// the (sorted, non-overlapping) timeline. Intervals ending at or
+    /// before `earliest` cannot constrain the fit and form a prefix of
+    /// the timeline (sorted ends), so the walk starts behind them.
     fn earliest_fit(&self, earliest: u64, duration: u64) -> u64 {
         let mut candidate = earliest;
-        for b in &self.busy {
-            if b.end <= candidate {
-                continue;
-            }
+        let from = self.busy.partition_point(|b| b.end <= earliest);
+        for b in &self.busy[from..] {
             if candidate.saturating_add(duration) <= b.start {
                 break;
             }
@@ -94,10 +102,9 @@ impl Resource {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Task {
-    start: u64,
-    end: u64,
+/// Latest end over a dependency set (0 when empty).
+fn ready_ps(deps: &[TaskId]) -> u64 {
+    deps.iter().map(|d| d.end).max().unwrap_or(0)
 }
 
 /// A deterministic task-graph scheduler.
@@ -117,7 +124,8 @@ struct Task {
 #[derive(Debug, Default)]
 pub struct Engine {
     resources: Vec<Resource>,
-    tasks: Vec<Task>,
+    /// Latest end over every task ever placed (truncated ones included).
+    makespan: u64,
 }
 
 impl Engine {
@@ -143,33 +151,20 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics if `resource` or any dependency id is invalid.
+    /// Panics if `resource` is invalid.
     pub fn schedule(
         &mut self,
         resource: ResourceId,
         duration_ps: u64,
         deps: &[TaskId],
-        tag: &str,
+        tag: &'static str,
         bytes: u64,
     ) -> TaskId {
-        let dep_ready = deps.iter().map(|d| self.tasks[d.0].end).max().unwrap_or(0);
-        let res = &mut self.resources[resource.0];
-        // Appended tasks also never overlap earliest-fit reservations:
-        // reservations cap at the timeline's max end, which next_free
-        // tracks below.
-        let start = res.earliest_fit(dep_ready.max(res.next_free), duration_ps);
-        let end = start + duration_ps;
-        res.next_free = res.next_free.max(end);
-        if duration_ps > 0 {
-            res.insert(BusyInterval {
-                start,
-                end,
-                bytes,
-                tag: tag.to_string(),
-            });
-        }
-        self.tasks.push(Task { start, end });
-        TaskId(self.tasks.len() - 1)
+        // Appended tasks never overlap earliest-fit reservations either:
+        // `next_free` tracks the timeline's max end, so the fit from
+        // there is the frontier itself.
+        let earliest = ready_ps(deps).max(self.resources[resource.0].next_free);
+        self.reserve_after(resource, earliest, duration_ps, tag, bytes)
     }
 
     /// Reserves the **earliest fit** for `duration_ps` on `resource` at
@@ -180,6 +175,9 @@ impl Engine {
     /// idle time — including idle time in the simulated past, modelling
     /// a transfer issued when its trigger first became visible.
     ///
+    /// The end saturates at the `u64` picosecond horizon (≈ 213 days)
+    /// instead of wrapping.
+    ///
     /// # Panics
     ///
     /// Panics if `resource` is invalid.
@@ -188,23 +186,23 @@ impl Engine {
         resource: ResourceId,
         earliest_ps: u64,
         duration_ps: u64,
-        tag: &str,
+        tag: &'static str,
         bytes: u64,
     ) -> TaskId {
         let res = &mut self.resources[resource.0];
         let start = res.earliest_fit(earliest_ps, duration_ps);
-        let end = start + duration_ps;
+        let end = start.saturating_add(duration_ps);
         res.next_free = res.next_free.max(end);
-        if duration_ps > 0 {
+        self.makespan = self.makespan.max(end);
+        if end > start {
             res.insert(BusyInterval {
                 start,
                 end,
                 bytes,
-                tag: tag.to_string(),
+                tag,
             });
         }
-        self.tasks.push(Task { start, end });
-        TaskId(self.tasks.len() - 1)
+        TaskId { start, end }
     }
 
     /// Dependency-aware earliest-fit: like [`Self::reserve_after`], but
@@ -213,20 +211,19 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics if `resource` or any dependency id is invalid.
+    /// Panics if `resource` is invalid.
     pub fn schedule_after(
         &mut self,
         resource: ResourceId,
         earliest_ps: u64,
         duration_ps: u64,
         deps: &[TaskId],
-        tag: &str,
+        tag: &'static str,
         bytes: u64,
     ) -> TaskId {
-        let dep_ready = deps.iter().map(|d| self.tasks[d.0].end).max().unwrap_or(0);
         self.reserve_after(
             resource,
-            earliest_ps.max(dep_ready),
+            earliest_ps.max(ready_ps(deps)),
             duration_ps,
             tag,
             bytes,
@@ -250,7 +247,8 @@ impl Engine {
         let keep = res.busy.partition_point(|b| b.start < t_ps);
         let removed = res.busy.len() - keep;
         res.busy.truncate(keep);
-        res.next_free = res.busy.iter().map(|b| b.end).max().unwrap_or(0);
+        // Sorted ends: the last kept interval ends latest.
+        res.next_free = res.busy.last().map_or(0, |b| b.end);
         removed
     }
 
@@ -266,17 +264,17 @@ impl Engine {
 
     /// Start time (ps) of a task.
     pub fn start_of(&self, task: TaskId) -> u64 {
-        self.tasks[task.0].start
+        task.start
     }
 
     /// End time (ps) of a task.
     pub fn end_of(&self, task: TaskId) -> u64 {
-        self.tasks[task.0].end
+        task.end
     }
 
     /// Latest end time across all tasks (0 when empty).
     pub fn makespan(&self) -> u64 {
-        self.tasks.iter().map(|t| t.end).max().unwrap_or(0)
+        self.makespan
     }
 
     /// Name of a resource.
@@ -319,14 +317,14 @@ impl Engine {
         if t1 <= t0 {
             return 0.0;
         }
+        // Only intervals with `end > t0` and `start < t1` overlap the
+        // window; sorted ends and starts make them one contiguous run.
+        let busy = &self.resources[r.0].busy;
+        let from = busy.partition_point(|b| b.end <= t0);
         let mut bytes = 0.0;
-        for b in &self.resources[r.0].busy {
-            let overlap_start = b.start.max(t0);
-            let overlap_end = b.end.min(t1);
-            if overlap_end > overlap_start && b.end > b.start {
-                let frac = (overlap_end - overlap_start) as f64 / (b.end - b.start) as f64;
-                bytes += b.bytes as f64 * frac;
-            }
+        for b in busy[from..].iter().take_while(|b| b.start < t1) {
+            let overlap = b.end.min(t1) - b.start.max(t0);
+            bytes += b.bytes as f64 * (overlap as f64 / (b.end - b.start) as f64);
         }
         bytes / ps_to_seconds(t1 - t0)
     }
@@ -511,6 +509,134 @@ mod tests {
         assert_eq!(e.busy_time(r), 0);
     }
 
+    #[test]
+    fn reservations_saturate_at_the_u64_horizon() {
+        let mut e = Engine::new();
+        let r = e.add_resource("link");
+        // `start + duration` would wrap: the end pins to the horizon.
+        let a = e.reserve_after(r, u64::MAX - 1, 10, "a", 0);
+        assert_eq!((e.start_of(a), e.end_of(a)), (u64::MAX - 1, u64::MAX));
+        // The append path goes through the same arithmetic; a task that
+        // cannot occupy any time leaves no trace.
+        let b = e.schedule(r, 10, &[], "b", 0);
+        assert_eq!((e.start_of(b), e.end_of(b)), (u64::MAX, u64::MAX));
+        assert_eq!(e.trace(r).len(), 1);
+        assert_eq!(e.busy_time(r), 1);
+        assert_eq!(e.next_free(r), u64::MAX);
+        assert_eq!(e.makespan(), u64::MAX);
+    }
+
+    #[test]
+    fn bandwidth_window_matches_a_full_scan() {
+        // [300k, 300k + 200) for k in 0..50, each moving 1000(k+1) bytes.
+        let mut e = Engine::new();
+        let link = e.add_resource("link");
+        for k in 0..50u64 {
+            e.reserve_after(link, 300 * k, 200, "xfer", 1000 * (k + 1));
+        }
+        let full_scan = |t0: u64, t1: u64| {
+            let mut bytes = 0.0;
+            for b in e.trace(link) {
+                let (lo, hi) = (b.start.max(t0), b.end.min(t1));
+                if hi > lo {
+                    bytes += b.bytes as f64 * ((hi - lo) as f64 / (b.end - b.start) as f64);
+                }
+            }
+            bytes / ps_to_seconds(t1 - t0)
+        };
+        // Windows that start/end inside intervals, inside gaps, on
+        // boundaries, before the first and beyond the last interval.
+        for t0 in (0..15_200).step_by(50) {
+            for width in [1, 50, 100, 250, 300, 1_000, 20_000] {
+                let t1 = t0 + width;
+                let got = e.bandwidth_in_window(link, t0, t1);
+                assert_eq!(got.to_bits(), full_scan(t0, t1).to_bits(), "[{t0}, {t1})");
+            }
+        }
+    }
+
+    /// Cost must not depend on how much history a timeline holds: 2×10⁵
+    /// appended intervals, then 2×10⁵ earliest-fit reservations whose
+    /// earliest instants run from the middle of the final timeline
+    /// upward — each pair places later work first and then claims the
+    /// gap before it, as a restore does behind a writeback. A binary
+    /// search makes this instant; a walk from index 0 (≥ 2×10⁵ steps
+    /// per reservation) takes minutes.
+    ///
+    /// Every landing sits within one interval of the tail on purpose:
+    /// a landing deep inside the vector still pays `Vec::insert`'s
+    /// memmove, which no shipped run does at scale.
+    #[test]
+    fn reservation_cost_is_independent_of_history_length() {
+        const N: u64 = 200_000;
+        const SLOT: u64 = 1_000;
+        let mut e = Engine::new();
+        let link = e.add_resource("link");
+        for _ in 0..N {
+            e.schedule(link, SLOT, &[], "held", 0);
+        }
+        let mid = N * SLOT;
+        assert_eq!(e.next_free(link), mid);
+        for j in 0..N / 2 {
+            let base = mid + 2 * j * SLOT;
+            let later = e.reserve_after(link, base + SLOT, SLOT, "writeback", 0);
+            assert_eq!(e.start_of(later), base + SLOT);
+            let fit = e.reserve_after(link, base, SLOT, "restore", 0);
+            assert_eq!(e.start_of(fit), base, "claims the gap before later work");
+        }
+        assert_eq!(e.trace(link).len() as u64, 2 * N);
+        assert_eq!(e.busy_time(link), 2 * N * SLOT);
+        assert_eq!(e.next_free(link), 2 * N * SLOT);
+        // A reservation from far back in a gap-free timeline still
+        // lands at the frontier.
+        let tail = e.reserve_after(link, 0, SLOT, "restore", 0);
+        assert_eq!(e.start_of(tail), 2 * N * SLOT);
+    }
+
+    /// The timeline as it was before the binary searches — earliest fit
+    /// walks from index 0, truncation recomputes the frontier with an
+    /// O(n) max — kept as the reference the differential test below
+    /// checks the engine against.
+    #[derive(Default)]
+    struct LinearTimeline {
+        busy: Vec<(u64, u64)>,
+        next_free: u64,
+    }
+
+    impl LinearTimeline {
+        fn earliest_fit(&self, earliest: u64, duration: u64) -> u64 {
+            let mut candidate = earliest;
+            for &(start, end) in &self.busy {
+                if end <= candidate {
+                    continue;
+                }
+                if candidate.saturating_add(duration) <= start {
+                    break;
+                }
+                candidate = end;
+            }
+            candidate
+        }
+
+        fn place(&mut self, earliest: u64, duration: u64) -> (u64, u64) {
+            let start = self.earliest_fit(earliest, duration);
+            let end = start + duration;
+            self.next_free = self.next_free.max(end);
+            if duration > 0 {
+                let at = self.busy.partition_point(|b| b.0 <= start);
+                self.busy.insert(at, (start, end));
+            }
+            (start, end)
+        }
+
+        fn truncate_from(&mut self, t: u64) -> usize {
+            let before = self.busy.len();
+            self.busy.retain(|b| b.0 < t);
+            self.next_free = self.busy.iter().map(|b| b.1).max().unwrap_or(0);
+            before - self.busy.len()
+        }
+    }
+
     proptest! {
         /// Causality: no task ends before the latest dependency plus
         /// its own duration; resource intervals never overlap.
@@ -519,9 +645,9 @@ mod tests {
             let mut e = Engine::new();
             let r = e.add_resource("u");
             let mut prev: Option<TaskId> = None;
-            for (i, &d) in durations.iter().enumerate() {
+            for &d in &durations {
                 let deps: Vec<TaskId> = prev.into_iter().collect();
-                let t = e.schedule(r, d, &deps, &format!("t{i}"), 0);
+                let t = e.schedule(r, d, &deps, "t", 0);
                 if let Some(p) = prev {
                     prop_assert!(e.end_of(t) >= e.end_of(p) + d);
                 }
@@ -587,6 +713,58 @@ mod tests {
                         w[1]
                     );
                 }
+            }
+        }
+
+        /// Differential check against [`LinearTimeline`]: over random
+        /// mixes of appends, earliest-fit reservations (with and
+        /// without dependencies, zero durations included) and
+        /// truncations, every task gets the same start and end, the
+        /// timelines hold the same intervals, `next_free` agrees (and
+        /// equals the last interval's end right after a truncation),
+        /// and `makespan` is the max end ever returned.
+        #[test]
+        fn binary_searched_timeline_matches_the_linear_reference(
+            ops in proptest::collection::vec(
+                (0u8..4, 0usize..2, 0u64..5000, 0u64..800), 1..120)
+        ) {
+            let mut e = Engine::new();
+            let rs = [e.add_resource("a"), e.add_resource("b")];
+            let mut reference = [LinearTimeline::default(), LinearTimeline::default()];
+            let mut last: Option<TaskId> = None;
+            let mut max_end = 0;
+            for &(op, ri, at, dur) in &ops {
+                let (r, lin) = (rs[ri], &mut reference[ri]);
+                let dep_ready = last.map_or(0, |t| e.end_of(t));
+                let (task, expected) = match op {
+                    0 => (
+                        e.schedule(r, dur, last.as_slice(), "append", dur),
+                        lin.place(dep_ready.max(lin.next_free), dur),
+                    ),
+                    1 => (e.reserve_after(r, at, dur, "fit", dur), lin.place(at, dur)),
+                    2 => (
+                        e.schedule_after(r, at, dur, last.as_slice(), "dep", dur),
+                        lin.place(at.max(dep_ready), dur),
+                    ),
+                    _ => {
+                        prop_assert_eq!(e.truncate_from(r, at), lin.truncate_from(at));
+                        prop_assert_eq!(e.next_free(r), lin.next_free);
+                        prop_assert_eq!(
+                            e.next_free(r),
+                            e.trace(r).last().map_or(0, |b| b.end)
+                        );
+                        continue;
+                    }
+                };
+                prop_assert_eq!((e.start_of(task), e.end_of(task)), expected);
+                last = Some(task);
+                max_end = max_end.max(expected.1);
+                prop_assert_eq!(e.next_free(r), lin.next_free);
+                prop_assert_eq!(e.makespan(), max_end);
+            }
+            for (r, lin) in rs.into_iter().zip(&reference) {
+                let got: Vec<(u64, u64)> = e.trace(r).iter().map(|b| (b.start, b.end)).collect();
+                prop_assert_eq!(&got, &lin.busy);
             }
         }
     }

@@ -144,7 +144,7 @@ impl Interconnect {
         bytes: u64,
         chunk_bytes: u64,
         now_ps: u64,
-        tag: &str,
+        tag: &'static str,
     ) -> CopySpan {
         assert_ne!(from, to, "cross-device copy must change devices");
         let dur = self.cfg.transfer_ps(bytes, chunk_bytes);

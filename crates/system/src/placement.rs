@@ -340,11 +340,6 @@ impl<'a> Placer<'a> {
         self.resident[target].insert((expiry, plan.id), bytes);
         target
     }
-
-    /// Drains the migrations decided since the last drain.
-    fn take_migrations(&mut self) -> Vec<DeviceMigration> {
-        std::mem::take(&mut self.pending)
-    }
 }
 
 /// Reusable buffers for the placement pass: the per-device routed
@@ -400,7 +395,8 @@ fn route(
     let mut report = InterconnectReport::default();
     while let Some(mut plan) = source.next_plan() {
         let target = placer.place(&plan);
-        for m in placer.take_migrations() {
+        // Drained in place: the buffer keeps its capacity across plans.
+        for m in placer.pending.drain(..) {
             let span = fabric.copy(
                 &mut engine,
                 m.from,
