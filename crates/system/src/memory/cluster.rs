@@ -10,29 +10,116 @@ use vrex_retrieval::prefetch::{ClusterPrefetchRequest, PrefetchPolicy};
 use super::{tier_bytes_mut, tier_index, MigrationTask, RestorePlan, TieredKvManager};
 
 /// Per-session hash-cluster residency: which clusters sit below the
-/// device tier, indexed by **coldness rank** (0 = coldest cluster by
-/// the previous step's WiCSum mass). The spilled set is always the
-/// contiguous rank prefix `[0, s)`: demotion pushes the next-coldest
-/// rank, promotion pops the hottest spilled rank, so candidate
-/// discovery is O(1) and iteration order is the ranking itself. Bytes
-/// are frozen at demotion time; the session's device bytes are the
-/// residency total minus the spilled clusters' bytes.
+/// device tier, as run-length [`ClusterRun`]s over **coldness rank**
+/// (0 = coldest cluster by the previous step's WiCSum mass). The
+/// spilled set is always the contiguous rank prefix `[0, s)`: demotion
+/// appends the next-coldest ranks, promotion pops the hottest spilled
+/// ranks, so candidate discovery is O(1), every operation costs
+/// O(runs) rather than O(clusters), and iteration order is the ranking
+/// itself. Bytes are frozen at demotion time; the session's device
+/// bytes are the residency total minus the spilled clusters' bytes.
 #[derive(Debug, Clone, Default)]
 pub(super) struct ClusterState {
-    /// Spilled clusters; the index is the coldness rank, so the
-    /// contiguous-prefix invariant is the `Vec` itself.
-    spilled: Vec<SpilledCluster>,
+    /// Spilled clusters, coldest run first: run `i` covers the ranks
+    /// right after run `i - 1`'s, so the contiguous-prefix invariant
+    /// is the `Vec` itself. Adjacent runs never share both tier and
+    /// size (they merge).
+    spilled: Vec<ClusterRun>,
     /// Steps this session has committed — rotates which tail clusters
     /// the misprediction model touches, so demand fetches are
     /// deterministic without a PRNG.
     pub(super) step_seq: u64,
 }
 
-/// One spilled cluster's location and frozen size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SpilledCluster {
+/// `count` spilled clusters adjacent in coldness rank that share a
+/// tier and a frozen size.
+#[derive(Debug, Clone, Copy)]
+struct ClusterRun {
     tier: MemTier,
     bytes: u64,
+    count: u64,
+}
+
+impl ClusterState {
+    /// The runs as `(tier, bytes, count)`, coldest first.
+    #[cfg(test)]
+    pub(super) fn runs(&self) -> Vec<(MemTier, u64, u64)> {
+        let runs = self.spilled.iter();
+        runs.map(|r| (r.tier, r.bytes, r.count)).collect()
+    }
+
+    /// Spills the next-coldest `count` ranks, `bytes` each, to `tier`.
+    pub(super) fn push(&mut self, tier: MemTier, bytes: u64, count: u64) {
+        match self.spilled.last_mut() {
+            Some(last) if (last.tier, last.bytes) == (tier, bytes) => last.count += count,
+            _ => self.spilled.push(ClusterRun { tier, bytes, count }),
+        }
+    }
+
+    /// Promotes the hottest `count` ranks of the hottest run.
+    pub(super) fn pop(&mut self, count: u64) {
+        if let Some(last) = self.spilled.last_mut() {
+            last.count -= count;
+            if last.count == 0 {
+                self.spilled.pop();
+            }
+        }
+    }
+
+    /// The coldest run in `tier` that starts below rank `limit`: its
+    /// index, cluster size and cluster count clipped to `limit`.
+    fn coldest_in(&self, tier: MemTier, limit: u64) -> Option<(usize, u64, u64)> {
+        let mut start = 0u64;
+        for (i, run) in self.spilled.iter().enumerate() {
+            if start >= limit {
+                break;
+            }
+            if run.tier == tier {
+                return Some((i, run.bytes, run.count.min(limit - start)));
+            }
+            start += run.count;
+        }
+        None
+    }
+
+    /// Moves the coldest `count` clusters of run `i` to `tier`.
+    pub(super) fn retier_front(&mut self, i: usize, count: u64, tier: MemTier) {
+        let bytes = self.spilled[i].bytes;
+        self.spilled[i].count -= count;
+        self.spilled.insert(i, ClusterRun { tier, bytes, count });
+        if self.spilled[i + 1].count == 0 {
+            self.spilled.remove(i + 1);
+        }
+        // The moved clusters may now equal either neighbour: merge the
+        // next run into them, then them into the previous run.
+        for j in [i + 1, i] {
+            if (1..self.spilled.len()).contains(&j) {
+                let (run, prev) = (self.spilled[j], &mut self.spilled[j - 1]);
+                if (prev.tier, prev.bytes) == (run.tier, run.bytes) {
+                    prev.count += run.count;
+                    self.spilled.remove(j);
+                }
+            }
+        }
+    }
+
+    /// Adds the spilled clusters at ranks `[lo, hi)` to `bytes` (per
+    /// tier) and returns how many there are.
+    fn sum_ranks(&self, lo: u64, hi: u64, bytes: &mut [u64; 3]) -> u64 {
+        let mut start = 0u64;
+        let mut clusters = 0u64;
+        for run in &self.spilled {
+            if start >= hi {
+                break;
+            }
+            let end = start + run.count;
+            let overlap = end.min(hi).saturating_sub(start.max(lo));
+            bytes[tier_index(run.tier)] += overlap * run.bytes;
+            clusters += overlap;
+            start = end;
+        }
+        clusters
+    }
 }
 
 /// Cluster-mode knobs, fixed per manager instance.
@@ -62,6 +149,9 @@ impl ClusterModeCfg {
             .max(total.div_ceil(MAX_CLUSTERS_PER_SESSION))
     }
 }
+
+#[cfg(test)]
+pub(super) mod per_cluster;
 
 impl TieredKvManager {
     /// Enables cluster-granular cold-data tracking: resident demand is
@@ -95,15 +185,19 @@ impl TieredKvManager {
 
     /// One stream's spilled clusters as `(coldness_rank, tier, bytes)`
     /// in ascending rank order (coldest first). Empty when the stream
-    /// is fully device-resident or cluster mode is off.
+    /// is fully device-resident or cluster mode is off. This expands
+    /// the run-length state one element per cluster — O(clusters), up
+    /// to 16384 per session — and is meant for tests and inspection;
+    /// the manager itself never walks clusters.
     pub fn spilled_clusters(&self, id: usize) -> Vec<(u64, MemTier, u64)> {
         match self.slot(id) {
             Ok(i) => self.sessions[i]
                 .clusters
                 .spilled
                 .iter()
+                .flat_map(|run| (0..run.count).map(move |_| (run.tier, run.bytes)))
                 .zip(0u64..)
-                .map(|(c, rank)| (rank, c.tier, c.bytes))
+                .map(|((tier, bytes), rank)| (rank, tier, bytes))
                 .collect(),
             Err(_) => Vec::new(),
         }
@@ -139,26 +233,23 @@ impl TieredKvManager {
         // Predicted-hot clusters are hotness ranks [0, predicted) =
         // coldness ranks [tail, n); the spilled ones stream up
         // speculatively from work-visibility.
-        let spilled = &s.clusters.spilled;
+        let clusters = &s.clusters;
         let mut spec = [0u64; 3];
-        let mut spec_clusters = 0u64;
-        for c in spilled.iter().skip(tail as usize) {
-            spec[tier_index(c.tier)] += c.bytes;
-            spec_clusters += 1;
-        }
-        // Mispredictions rotate deterministically through the tail
-        // (coldness ranks [0, tail)); only the ones that are actually
-        // spilled cost a demand fetch.
+        let spec_clusters = clusters.sum_ranks(tail, u64::MAX, &mut spec);
+        // Mispredictions rotate deterministically through the tail:
+        // coldness ranks `(step_seq + j) % tail` for `j <
+        // mispredicted`. As `mispredicted <= tail` that is the rank
+        // interval `[first, first + mispredicted)` wrapped once at
+        // `tail`; only the ranks that are actually spilled cost a
+        // demand fetch.
         let mut demand = [0u64; 3];
         let mut demand_clusters = 0u64;
         if tail > 0 {
-            for j in 0..mispredicted {
-                let cold = (step_seq + j) % tail;
-                if let Some(c) = spilled.get(cold as usize) {
-                    demand[tier_index(c.tier)] += c.bytes;
-                    demand_clusters += 1;
-                }
-            }
+            let first = step_seq % tail;
+            let wrapped = (first + mispredicted).saturating_sub(tail);
+            demand_clusters =
+                clusters.sum_ranks(first, first + mispredicted - wrapped, &mut demand)
+                    + clusters.sum_ranks(0, wrapped, &mut demand);
         }
         let host_bytes = spec[1] + demand[1];
         let ssd_bytes = spec[2] + demand[2];
@@ -199,21 +290,25 @@ impl TieredKvManager {
         if self.used[src] <= self.caps.capacity(tier) {
             return;
         }
-        // Coldest sessions first; ties resolve to the smaller id.
-        let mut order: Vec<usize> = (0..self.sessions.len()).collect();
-        order.sort_by_key(|&i| (self.sessions[i].res.last_active_ps, self.sessions[i].id));
-        for protected_pass in [false, true] {
+        // Coldest sessions first; ties resolve to the smaller id
+        // (unique, so the unstable sort is the order).
+        let mut order = std::mem::take(&mut self.order_scratch);
+        order.clear();
+        order.extend(0..self.sessions.len());
+        order.sort_unstable_by_key(|&i| (self.sessions[i].res.last_active_ps, self.sessions[i].id));
+        'passes: for protected_pass in [false, true] {
             for &si in &order {
-                if self.used[src] <= self.caps.capacity(tier) {
-                    return;
-                }
-                if !self.demote_session_clusters(si, tier, cfg, protected_pass) {
-                    // Hierarchy full: leave the tier over budget
-                    // (admission control prevents this in practice).
-                    return;
+                // Done when the tier fits. A full hierarchy (`false`)
+                // leaves it over budget (admission control prevents
+                // this in practice).
+                if self.used[src] <= self.caps.capacity(tier)
+                    || !self.demote_session_clusters(si, tier, cfg, protected_pass)
+                {
+                    break 'passes;
                 }
             }
         }
+        self.order_scratch = order;
     }
 
     /// Demotes clusters of one session out of `tier` until the tier
@@ -246,12 +341,13 @@ impl TieredKvManager {
             if self.used[src] <= cap {
                 break true;
             }
-            // Next coldest candidate in this pass's class: for the
-            // device tier it is the next unspilled coldness rank (the
-            // spilled set is a contiguous prefix [0, s)); for a lower
-            // tier it is the coldest cluster already spilled there
-            // (cascade). `cascade_rank` is `None` for a device demotion.
-            let (bytes, cascade_rank) = match tier {
+            let over = self.used[src] - cap;
+            // Next coldest candidates in this pass's class, `take`
+            // clusters of `bytes` each: for the device tier the next
+            // unspilled coldness ranks (the spilled set is a contiguous
+            // prefix [0, s)); for a lower tier the coldest run already
+            // spilled there (cascade; `None` for a device demotion).
+            let (bytes, take, cascade) = match tier {
                 MemTier::Device => {
                     let device = self.sessions[si].res.device_bytes;
                     if device == 0 {
@@ -261,63 +357,53 @@ impl TieredKvManager {
                     // the spilled-cluster count for a static granule,
                     // and the current-granule equivalent of stale
                     // finer clusters once chaining has coarsened it —
-                    // so the protected prefix keeps its byte meaning.
-                    // The protected pass demotes everything, so only
+                    // so the protected prefix keeps its byte meaning,
+                    // and every whole granule demoted adds one. The
+                    // protected pass demotes everything, so only
                     // `device == 0` stops it.
                     let s = self.sessions[si].res.spilled_bytes().div_ceil(granule);
                     if !protected_pass && s >= limit {
                         break true;
                     }
-                    (granule.min(device), None)
+                    let class = if protected_pass { u64::MAX } else { limit - s };
+                    // A partial last cluster goes alone.
+                    let bytes = granule.min(device);
+                    (bytes, (device / bytes).min(class), None)
                 }
-                _ => {
-                    let spilled = &self.sessions[si].clusters.spilled;
-                    let found = spilled
-                        .iter()
-                        .take(limit as usize)
-                        .position(|c| c.tier == tier);
-                    match found {
-                        Some(rank) => (spilled[rank].bytes, Some(rank)),
-                        None => break true,
-                    }
-                }
+                _ => match self.sessions[si].clusters.coldest_in(tier, limit) {
+                    Some((i, bytes, count)) => (bytes, count, Some(i)),
+                    None => break true,
+                },
             };
-            // Nearest lower tier with room for this whole cluster —
+            // Nearest lower tier with room for a whole cluster —
             // clusters never straddle tiers.
-            let dest = self.caps.below(tier).find(|&t| {
-                self.caps
-                    .capacity(t)
-                    .saturating_sub(self.used[tier_index(t)])
-                    >= bytes
-            });
-            let Some(dest) = dest else {
+            let caps = self.caps;
+            let room = |t| caps.capacity(t).saturating_sub(self.used[tier_index(t)]);
+            let Some(dest) = caps.below(tier).find(|&t| room(t) >= bytes) else {
                 break false;
             };
+            // As many clusters as bring the tier back under budget,
+            // bounded by the class and by the destination's room.
+            let count = over.div_ceil(bytes).min(take).min(room(dest) / bytes);
+            let moved = count * bytes;
             if run.is_some() && run != Some((tier, dest)) {
                 flush_run(&mut self.pending_migrations, id, &mut run, &mut run_bytes);
             }
             run = Some((tier, dest));
-            run_bytes += bytes;
+            run_bytes += moved;
             let s = &mut self.sessions[si];
-            match cascade_rank {
-                None => {
-                    s.clusters
-                        .spilled
-                        .push(SpilledCluster { tier: dest, bytes });
-                    s.res.device_bytes -= bytes;
-                }
-                Some(rank) => {
-                    s.clusters.spilled[rank].tier = dest;
-                    *tier_bytes_mut(&mut s.res, tier) -= bytes;
-                }
+            match cascade {
+                None => s.clusters.push(dest, bytes, count),
+                Some(i) => s.clusters.retier_front(i, count, dest),
             }
-            *tier_bytes_mut(&mut s.res, dest) += bytes;
-            self.used[src] -= bytes;
-            self.used[tier_index(dest)] += bytes;
-            self.stats.spilled_bytes += bytes;
+            *tier_bytes_mut(&mut s.res, tier) -= moved;
+            *tier_bytes_mut(&mut s.res, dest) += moved;
+            self.used[src] -= moved;
+            self.used[tier_index(dest)] += moved;
+            self.stats.spilled_bytes += moved;
         };
         if run.is_some() {
-            self.ever_spilled.insert(id);
+            self.mark_spilled(si);
         }
         flush_run(&mut self.pending_migrations, id, &mut run, &mut run_bytes);
         ok
@@ -325,8 +411,8 @@ impl TieredKvManager {
     /// Cluster-granular promotion into `free` device bytes: sessions in
     /// `order`, and within a session the hottest spilled cluster
     /// (highest coldness rank) first — whole clusters only.
-    pub(super) fn promote_clusters(&mut self, order: Vec<usize>, mut free: u64) {
-        'sessions: for si in order {
+    pub(super) fn promote_clusters(&mut self, order: &[usize], mut free: u64) {
+        'sessions: for &si in order {
             let id = self.sessions[si].id;
             let mut run: Option<(MemTier, MemTier)> = None;
             let mut run_bytes = 0u64;
@@ -338,19 +424,21 @@ impl TieredKvManager {
                     flush_run(&mut self.pending_migrations, id, &mut run, &mut run_bytes);
                     break 'sessions;
                 }
+                let count = c.count.min(free / c.bytes);
+                let moved = count * c.bytes;
                 let s = &mut self.sessions[si];
-                s.clusters.spilled.pop();
-                *tier_bytes_mut(&mut s.res, c.tier) -= c.bytes;
-                s.res.device_bytes += c.bytes;
-                self.used[tier_index(c.tier)] -= c.bytes;
-                self.used[tier_index(MemTier::Device)] += c.bytes;
-                free -= c.bytes;
-                self.stats.promoted_bytes += c.bytes;
+                s.clusters.pop(count);
+                *tier_bytes_mut(&mut s.res, c.tier) -= moved;
+                s.res.device_bytes += moved;
+                self.used[tier_index(c.tier)] -= moved;
+                self.used[tier_index(MemTier::Device)] += moved;
+                free -= moved;
+                self.stats.promoted_bytes += moved;
                 if run.is_some() && run != Some((c.tier, MemTier::Device)) {
                     flush_run(&mut self.pending_migrations, id, &mut run, &mut run_bytes);
                 }
                 run = Some((c.tier, MemTier::Device));
-                run_bytes += c.bytes;
+                run_bytes += moved;
             }
             flush_run(&mut self.pending_migrations, id, &mut run, &mut run_bytes);
             if free == 0 {
@@ -359,6 +447,7 @@ impl TieredKvManager {
         }
     }
 }
+
 /// Clusters of an `n`-cluster session protected from first-pass spill
 /// (the WiCSum-hot prefix).
 fn protected_clusters(n: u64, ratio: f64) -> u64 {

@@ -89,7 +89,7 @@ impl TieredKvManager {
             self.used[tier_index(tier)] -= moved;
             self.used[tier_index(dest)] += moved;
             self.stats.spilled_bytes += moved;
-            self.ever_spilled.insert(victim_id);
+            self.mark_spilled(victim);
             self.pending_migrations.push(MigrationTask {
                 session: victim_id,
                 from: tier,
@@ -101,8 +101,8 @@ impl TieredKvManager {
 
     /// Flat promotion: each stream in `order` takes back as many of its
     /// spilled bytes as still fit in `free`, host DRAM before SSD.
-    pub(super) fn promote_flat(&mut self, order: Vec<usize>, mut free: u64) {
-        for i in order {
+    pub(super) fn promote_flat(&mut self, order: &[usize], mut free: u64) {
+        for &i in order {
             if free == 0 {
                 break;
             }

@@ -318,6 +318,8 @@ struct SessionTier {
     id: usize,
     res: Residency,
     clusters: ClusterState,
+    /// Whether any of this stream's bytes ever left the device tier.
+    ever_spilled: bool,
 }
 
 /// Fleet-wide tier residency tracker and migration pricer.
@@ -336,7 +338,12 @@ pub struct TieredKvManager {
     /// incrementally so the per-step budget checks are O(1) instead of
     /// a fleet scan (the scheduler grows streams every batch).
     used: [u64; 3],
-    ever_spilled: std::collections::BTreeSet<usize>,
+    /// Streams whose `ever_spilled` flag was ever set, including
+    /// released ones.
+    ever_spilled_count: usize,
+    /// Session-slot ordering buffer of the spill and promotion sweeps,
+    /// kept so a pressure event allocates nothing.
+    order_scratch: Vec<usize>,
     stats: TierStats,
     /// Migrations decided since the last
     /// [`Self::drain_migrations_into`], in decision order.
@@ -360,7 +367,8 @@ impl TieredKvManager {
             sessions: Vec::new(),
             cluster_mode: None,
             used: [0; 3],
-            ever_spilled: std::collections::BTreeSet::new(),
+            ever_spilled_count: 0,
+            order_scratch: Vec::new(),
             stats: TierStats::default(),
             pending_migrations: Vec::new(),
             migration_prices: HashMap::default(),
@@ -433,14 +441,25 @@ impl TieredKvManager {
         self.stats
     }
 
-    /// Streams that were ever (partially) spilled below the device.
+    /// Streams that were ever (partially) spilled below the device
+    /// (an id admitted again after its release is a new stream).
     pub fn ever_spilled_sessions(&self) -> usize {
-        self.ever_spilled.len()
+        self.ever_spilled_count
     }
 
-    /// Whether a stream was ever (partially) spilled below the device.
+    /// Whether a tracked stream was ever (partially) spilled below the
+    /// device. The flag lives with the stream's residency record, so
+    /// it answers `false` once the stream is released — ask before
+    /// [`Self::release`].
     pub fn was_ever_spilled(&self, id: usize) -> bool {
-        self.ever_spilled.contains(&id)
+        self.slot(id).is_ok_and(|i| self.sessions[i].ever_spilled)
+    }
+
+    /// Counts the stream in `slot` as spilled, once.
+    fn mark_spilled(&mut self, slot: usize) {
+        let s = &mut self.sessions[slot];
+        self.ever_spilled_count += usize::from(!s.ever_spilled);
+        s.ever_spilled = true;
     }
 
     /// Drains the migrations decided since the last drain (spills from
@@ -663,18 +682,21 @@ impl TieredKvManager {
         if free == 0 {
             return;
         }
-        let mut order: Vec<usize> = (0..self.sessions.len())
-            .filter(|&i| self.sessions[i].res.spilled_bytes() > 0)
-            .collect();
-        order.sort_by_key(|&i| {
+        let mut order = std::mem::take(&mut self.order_scratch);
+        order.clear();
+        order
+            .extend((0..self.sessions.len()).filter(|&i| self.sessions[i].res.spilled_bytes() > 0));
+        // Keys are unique (ids are), so the unstable sort is the order.
+        order.sort_unstable_by_key(|&i| {
             let s = &self.sessions[i];
             (std::cmp::Reverse(s.res.last_active_ps), s.id)
         });
         if self.cluster_mode.is_some() {
-            self.promote_clusters(order, free);
+            self.promote_clusters(&order, free);
         } else {
-            self.promote_flat(order, free);
+            self.promote_flat(&order, free);
         }
+        self.order_scratch = order;
     }
 }
 

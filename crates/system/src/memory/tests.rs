@@ -1,6 +1,8 @@
 //! Unit tests of the tier manager: core, flat and cluster paths.
 
+use super::cluster::per_cluster::{reach, PerClusterManager};
 use super::*;
+use proptest::prelude::*;
 use vrex_hwsim::dram::DramConfig;
 use vrex_hwsim::pcie::PcieConfig;
 use vrex_hwsim::seconds_to_ps;
@@ -8,19 +10,27 @@ use vrex_hwsim::ssd::SsdConfig;
 
 const GIB: u64 = 1 << 30;
 
+fn server_path() -> TierPath {
+    TierPath {
+        pcie: PcieConfig::gen4_x16(),
+        host_dram: Some(DramConfig::ddr4_cpu()),
+        ssd: Some(SsdConfig::bg6_class()),
+    }
+}
+
 fn server_manager(device: u64, host: u64, ssd: u64) -> TieredKvManager {
-    TieredKvManager::new(
-        TierCapacities {
-            device_bytes: device,
-            host_bytes: host,
-            ssd_bytes: ssd,
-        },
-        TierPath {
-            pcie: PcieConfig::gen4_x16(),
-            host_dram: Some(DramConfig::ddr4_cpu()),
-            ssd: Some(SsdConfig::bg6_class()),
-        },
-    )
+    let caps = TierCapacities {
+        device_bytes: device,
+        host_bytes: host,
+        ssd_bytes: ssd,
+    };
+    TieredKvManager::new(caps, server_path())
+}
+
+/// The run-length state behind [`TieredKvManager::spilled_clusters`].
+fn cluster_runs(m: &TieredKvManager, id: usize) -> Vec<(MemTier, u64, u64)> {
+    m.slot(id)
+        .map_or(Vec::new(), |i| m.sessions[i].clusters.runs())
 }
 
 /// Everything decided since the last drain, in decision order.
@@ -170,11 +180,7 @@ fn grow_keeps_the_growing_stream_hot() {
 #[test]
 fn migration_price_memo_is_bit_identical_to_the_closed_form() {
     let mut m = server_manager(4 * GIB, 8 * GIB, 64 * GIB);
-    let path = TierPath {
-        pcie: PcieConfig::gen4_x16(),
-        host_dram: Some(DramConfig::ddr4_cpu()),
-        ssd: Some(SsdConfig::bg6_class()),
-    };
+    let path = server_path();
     // The repeated 1 MiB shape exercises the hit path; every lookup
     // must equal the direct closed form exactly.
     for bytes in [1u64, 4096, 1 << 20, 2 * GIB, 1 << 20, 4096] {
@@ -453,4 +459,201 @@ fn untracked_streams_cost_nothing() {
     m.touch(99, 5);
     m.release(99);
     assert_eq!(m.stats(), TierStats::default());
+}
+
+#[test]
+fn was_ever_spilled_answers_for_tracked_streams_only() {
+    let mut m = server_manager(2 * GIB, 8 * GIB, 0);
+    m.admit(0, 2 * GIB, 0);
+    assert!(!m.was_ever_spilled(0));
+    m.admit(1, 2 * GIB, 1); // spills 0 entirely
+    assert!(m.was_ever_spilled(0));
+    assert!(!m.was_ever_spilled(1));
+    assert_eq!(m.ever_spilled_sessions(), 1);
+    // Promoted back: the flag is "ever", not "currently".
+    m.release(1);
+    assert_eq!(m.residency(0).unwrap().spilled_bytes(), 0);
+    assert!(m.was_ever_spilled(0));
+    // The flag retires with the stream; the fleet count does not.
+    m.release(0);
+    assert!(!m.was_ever_spilled(0));
+    assert_eq!(m.ever_spilled_sessions(), 1);
+}
+
+#[test]
+fn cluster_runs_merge_and_split_on_retier() {
+    use MemTier::{Host, Ssd};
+    let mut c = ClusterState::default();
+    c.push(Host, 8, 5);
+    c.push(Host, 8, 2); // same tier and size: one run
+    c.push(Ssd, 8, 3);
+    c.push(Host, 4, 1); // a partial last cluster never merges
+    assert_eq!(c.runs(), [(Host, 8, 7), (Ssd, 8, 3), (Host, 4, 1)]);
+    // Front of a run with no equal run before it: split.
+    c.retier_front(0, 2, Ssd);
+    assert_eq!(
+        c.runs(),
+        [(Ssd, 8, 2), (Host, 8, 5), (Ssd, 8, 3), (Host, 4, 1)]
+    );
+    // Front of a run: joins the previous run.
+    c.retier_front(1, 1, Ssd);
+    assert_eq!(
+        c.runs(),
+        [(Ssd, 8, 3), (Host, 8, 4), (Ssd, 8, 3), (Host, 4, 1)]
+    );
+    // A whole run: joins both neighbours.
+    c.retier_front(1, 4, Ssd);
+    assert_eq!(c.runs(), [(Ssd, 8, 10), (Host, 4, 1)]);
+    // A whole run whose neighbour differs in size: re-tiered in place.
+    c.retier_front(1, 1, Ssd);
+    assert_eq!(c.runs(), [(Ssd, 8, 10), (Ssd, 4, 1)]);
+    // Promotion pops from the hottest run, whole or in part.
+    c.pop(1);
+    c.pop(4);
+    assert_eq!(c.runs(), [(Ssd, 8, 6)]);
+    // A whole run joins the next run only, and the previous run only.
+    c.push(Host, 8, 2);
+    c.push(Ssd, 8, 1);
+    c.retier_front(1, 2, Ssd);
+    assert_eq!(c.runs(), [(Ssd, 8, 9)]);
+    let mut c = ClusterState::default();
+    c.push(Host, 8, 2);
+    c.push(Ssd, 8, 3);
+    c.retier_front(0, 2, Ssd);
+    assert_eq!(c.runs(), [(Ssd, 8, 5)]);
+}
+
+#[test]
+fn cluster_runs_stay_bounded_under_churn() {
+    // `fleet_cluster`-shaped churn (static 256 KiB granule; host DRAM
+    // holds the spill but for its peak, which reaches the SSD): every
+    // round admits the newest stream, grows and steps the live ones,
+    // and retires the oldest. Streams hold thousands of spilled
+    // clusters, yet what the manager walks per operation stays a
+    // handful of runs.
+    const LIVE: usize = 8;
+    let mut m =
+        server_manager(3 * GIB, 6 * GIB, 256 * GIB).with_cluster_mode(MIGRATION_CHUNK_BYTES, 0.25);
+    let policy = ClusterPrefetch { accuracy: 0.9 };
+    let (mut most_runs, mut most_clusters) = (0, 0);
+    for round in 0..300usize {
+        let now = round as u64 * 1_000;
+        m.admit(round, GIB + (round as u64 % 7) * 12_345, now);
+        for id in round.saturating_sub(LIVE)..=round {
+            m.grow(id, 3 * MIGRATION_CHUNK_BYTES / 2, now + id as u64);
+            m.step_restore(id, 0.3, false, 1_000_000, &policy);
+        }
+        if round >= LIVE {
+            m.release(round - LIVE);
+        }
+        for id in round.saturating_sub(LIVE)..=round {
+            most_runs = most_runs.max(cluster_runs(&m, id).len());
+            most_clusters = most_clusters.max(m.spilled_clusters(id).len());
+        }
+    }
+    assert!(most_clusters >= 3000, "only {most_clusters} clusters");
+    assert!(most_runs <= 4, "{most_runs} runs for one stream");
+    assert!(m.stats().promoted_bytes > 0 && m.stats().tier_miss_steps > 0);
+}
+
+/// Differential check against [`PerClusterManager`]: the run-length
+/// manager and the per-cluster walk it replaced stay equal on every
+/// observable — residency, cluster maps, migration tasks, restore
+/// plans, statistics — through random operation mixes, and between
+/// them the cases take every branch a bulk step has to get right.
+#[test]
+fn run_length_clusters_match_the_per_cluster_reference() {
+    use std::sync::atomic::{AtomicU32, Ordering};
+    static REACHED: AtomicU32 = AtomicU32::new(0);
+    // Odd, so totals rarely divide into whole granules.
+    const UNIT: u64 = 4099;
+    const SLOTS: usize = 6;
+    proptest! {
+        fn cases(
+            knobs in (0usize..4, 0u64..=4, 0usize..3),
+            budget in (2u64..=10, 0u64..=6, 0u64..=30),
+            ops in proptest::collection::vec((0u8..10, 0..SLOTS, 1u64..=12), 1..48),
+        ) {
+            // One-byte clusters chain into coarser granules past
+            // 16384 per stream; unit-sized ones make tails of a few
+            // clusters, where the misprediction rotation wraps.
+            let cluster_bytes = [1, 7, 64, UNIT][knobs.0];
+            let protected_ratio = knobs.1 as f64 / 4.0;
+            let policy = ClusterPrefetch { accuracy: [0.9, 0.5, 0.0][knobs.2] };
+            let caps = TierCapacities {
+                device_bytes: budget.0 * UNIT,
+                host_bytes: budget.1 * UNIT,
+                ssd_bytes: budget.2 * UNIT,
+            };
+            let mut real = TieredKvManager::new(caps, server_path())
+                .with_cluster_mode(cluster_bytes, protected_ratio);
+            let mut reference =
+                PerClusterManager::new(caps, server_path(), cluster_bytes, protected_ratio);
+            // The same call on both managers.
+            macro_rules! both {
+                ($call:ident($($arg:expr),*)) => {{
+                    real.$call($($arg),*);
+                    reference.$call($($arg),*);
+                }};
+            }
+            // Stream ids are never reused, as in the serving layer.
+            let mut ids: [usize; SLOTS] = std::array::from_fn(|slot| slot);
+            for (step, &(op, slot, units)) in ops.iter().enumerate() {
+                let id = ids[slot];
+                // Two operations per tick: coldness ties happen.
+                let now = (step as u64 / 2) * 1_000;
+                match op {
+                    0 | 1 => both!(admit(id, units * UNIT, now)),
+                    2 => both!(grow(id, units * 1031, now)),
+                    3 => both!(touch(id, now)),
+                    4 => {
+                        both!(release(id));
+                        ids[slot] += SLOTS;
+                    }
+                    5 => {
+                        // The host budget shrinks under its contents:
+                        // the only way a lower tier goes over budget,
+                        // i.e. into the host→SSD cascade.
+                        real.caps.host_bytes = units / 2 * UNIT;
+                        reference.caps.host_bytes = units / 2 * UNIT;
+                        both!(grow(id, 0, now));
+                    }
+                    _ => {
+                        let ratio = units as f64 / 12.0;
+                        let plan = real.plan_restore(id, ratio, units % 2 == 1, &policy);
+                        let expected = reference.plan_restore(id, ratio, units % 2 == 1, &policy);
+                        prop_assert_eq!(plan, expected);
+                        let hidden = plan.spec_ps();
+                        both!(commit_restore(&plan, hidden, plan.miss_ps() - hidden));
+                    }
+                }
+                prop_assert_eq!(
+                    drained(&mut real),
+                    std::mem::take(&mut reference.pending_migrations)
+                );
+                prop_assert_eq!(real.stats(), reference.stats);
+                prop_assert_eq!(
+                    real.ever_spilled_sessions(),
+                    reference.ever_spilled_sessions()
+                );
+                for &id in &ids {
+                    prop_assert_eq!(real.residency(id), reference.residency(id));
+                    let clusters = real.spilled_clusters(id);
+                    prop_assert_eq!(&clusters, &reference.spilled_clusters(id));
+                    // The runs are the clusters, maximally merged.
+                    let runs = cluster_runs(&real, id);
+                    prop_assert_eq!(runs.iter().map(|r| r.2).sum::<u64>(), clusters.len() as u64);
+                    prop_assert!(runs.windows(2).all(|w| (w[0].0, w[0].1) != (w[1].0, w[1].1)));
+                }
+                for tier in MemTier::ALL {
+                    // `used_bytes` re-checks the cached totals.
+                    real.used_bytes(tier);
+                }
+            }
+            REACHED.fetch_or(reference.reached, Ordering::Relaxed);
+        }
+    }
+    cases();
+    let missed = reach::ALL & !REACHED.load(Ordering::Relaxed);
+    assert_eq!(missed, 0, "no case took reach flag(s) {missed:#010b}");
 }
