@@ -1,7 +1,7 @@
 //! Design-choice sensitivity sweep for ReSV's hyper-parameters
-//! (DESIGN.md ablation index): `N_hp` (hash-bit width), `Th_hd`
-//! (Hamming clustering threshold), and `Th_r-wics` (WiCSum mass
-//! threshold). For each setting the functional model measures the
+//! (ARCHITECTURE.md, "Figure/table → binary map"): `N_hp` (hash-bit
+//! width), `Th_hd` (Hamming clustering threshold), and `Th_r-wics`
+//! (WiCSum mass threshold). For each setting the functional model measures the
 //! retrieval ratio, attention recall, and cluster occupancy —
 //! quantifying the trade-offs behind the paper's chosen
 //! `N_hp = 32, Th_hd = 7, Th_wics = 0.3`.

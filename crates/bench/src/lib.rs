@@ -1,10 +1,11 @@
 //! # vrex-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper's
-//! evaluation (see `DESIGN.md` §3 for the index and `EXPERIMENTS.md`
-//! for paper-vs-measured records). Every binary prints simulated,
-//! deterministic facts only; host time is measured by the repo
-//! benchmark (`BENCHMARK.json`, `benchmark/`), never here.
+//! evaluation (see ARCHITECTURE.md, "Figure/table → binary map", for
+//! the index; each binary prints the paper's numbers beside its own
+//! as a `Paper:` line). Every binary prints simulated, deterministic
+//! facts only; host time is measured by the repo benchmark
+//! (`BENCHMARK.json`, `benchmark/`), never here.
 //!
 //! Run everything with:
 //!

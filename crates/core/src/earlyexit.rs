@@ -95,12 +95,6 @@ pub fn early_exit_select_row(
             .filter(|&i| bucket_of(scores[i]) == b)
             .collect();
         if members.is_empty() {
-            if width <= 0.0 && b != 0 {
-                continue;
-            }
-            if width <= 0.0 {
-                break;
-            }
             continue;
         }
         // Small within-bucket sort keeps the visit order globally

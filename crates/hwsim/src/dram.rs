@@ -13,7 +13,8 @@
 //! the server PCIe link. Energy per bit comes from the vendor reports
 //! the paper cites.
 
-use crate::time::{seconds_to_ps, transfer_ps};
+use crate::time::{ps_to_seconds, transfer_ps};
+use crate::CONTIGUOUS_CHUNK_BYTES;
 
 /// Static DRAM configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,15 +102,61 @@ impl DramConfig {
         self.channel_bytes_per_s * self.channels as f64
     }
 
+    /// First and last global row ids touched by `n_bursts` bursts from
+    /// `addr`: consecutive row ids, cycling channels as
+    /// `row % channels`.
+    fn row_span(&self, addr: u64, n_bursts: u64) -> (u64, u64) {
+        let last_burst = addr + (n_bursts - 1) * self.burst_bytes;
+        (addr / self.row_bytes, last_burst / self.row_bytes)
+    }
+
+    /// Duration (ps) of reading `n_bursts` bursts from `addr` when
+    /// `hits(ch)` of the rows landing on channel `ch` are already open
+    /// (requires `row_bytes % burst_bytes == 0`).
+    ///
+    /// Middle rows hold exactly `row_bytes / burst` bursts (the burst
+    /// grid divides the row); only the first and last rows are partial.
+    /// Per channel, data transfer serialises on the bus while row
+    /// activations proceed on *other banks* in parallel and only bound
+    /// the channel when activation work exceeds transfer work
+    /// (bank-level parallelism pipelines them); the slowest channel
+    /// bounds the access, plus one activation latency to fill the
+    /// pipeline.
+    fn access_ps(&self, addr: u64, n_bursts: u64, hits: impl Fn(usize) -> u64) -> u64 {
+        let channels = self.channels as u64;
+        let bursts_per_row = self.row_bytes / self.burst_bytes;
+        let (r_first, r_last) = self.row_span(addr, n_bursts);
+        let n_rows = r_last - r_first + 1;
+        let k_first = ((r_first + 1) * self.row_bytes - addr)
+            .div_ceil(self.burst_bytes)
+            .min(n_bursts);
+        let burst_transfer = transfer_ps(self.burst_bytes, self.channel_bytes_per_s);
+        let mut per_channel_max = 0u64;
+        for ch in 0..channels {
+            let rows = count_congruent(r_first, r_last, channels, ch);
+            let mut transfer_bursts = rows * bursts_per_row;
+            if ch == r_first % channels {
+                transfer_bursts -= bursts_per_row - k_first;
+            }
+            if n_rows >= 2 && ch == r_last % channels {
+                let k_last = n_bursts - k_first - (n_rows - 2) * bursts_per_row;
+                transfer_bursts -= bursts_per_row - k_last;
+            }
+            let t = transfer_bursts * burst_transfer;
+            let a = (rows - hits(ch as usize)) * self.act_interval_ps;
+            per_channel_max = per_channel_max.max(t.max(a));
+        }
+        per_channel_max + self.row_miss_ps
+    }
+
     /// Duration (ps) of streaming `bytes` from address 0 on a *fresh*
     /// device (all rows closed) — exactly what
     /// `Dram::new(cfg).access(0, bytes)` returns, but in O(channels)
     /// arithmetic with no allocation or open-row bookkeeping.
     ///
-    /// Fetch pricing and tier-migration pricing construct a fresh
-    /// [`Dram`] per call and immediately discard it, so no row can be
-    /// open and the stateful walk collapses to this closed form. It is
-    /// the hot leaf of the serving scheduler's step pricing; the
+    /// Fetch pricing and tier-migration pricing read from a device no
+    /// earlier access has touched, so no row can be open. It is the hot
+    /// leaf of the serving scheduler's step pricing; the
     /// `stream_read_matches_fresh_access` oracle test pins the
     /// equivalence over the preset configurations.
     pub fn stream_read_ps(&self, bytes: u64) -> u64 {
@@ -120,43 +167,51 @@ impl DramConfig {
             // Exotic geometry: defer to the reference walk.
             return Dram::new(self.clone()).access(0, bytes);
         }
-        let b = self.burst_bytes;
-        let channels = self.channels as u64;
-        let n_bursts = bytes.div_ceil(b);
-        let bursts_per_row = self.row_bytes / b;
-        let r_last = (n_bursts - 1) / bursts_per_row;
-        let n_rows = r_last + 1;
-        let k_first = bursts_per_row.min(n_bursts);
-        let k_last = if n_rows >= 2 {
-            n_bursts - k_first - (n_rows - 2) * bursts_per_row
-        } else {
-            0
-        };
-        let burst_transfer = transfer_ps(b, self.channel_bytes_per_s);
-        // Rows cycle the channels round-robin from row 0; no row hit is
-        // possible on a fresh device, so every row costs one activation
-        // slot. Per channel, data transfer serialises on the bus while
-        // activations pipeline across banks — the max of the two bounds
-        // the channel, and the slowest channel bounds the access.
-        let mut per_channel_max = 0u64;
-        for ch in 0..channels {
-            let rows = if ch <= r_last {
-                (r_last - ch) / channels + 1
-            } else {
-                0
-            };
-            let mut transfer_bursts = rows * bursts_per_row;
-            if ch == 0 {
-                transfer_bursts -= bursts_per_row - k_first;
-            }
-            if n_rows >= 2 && ch == r_last % channels {
-                transfer_bursts -= bursts_per_row - k_last;
-            }
-            let t = transfer_bursts * burst_transfer;
-            let a = rows * self.act_interval_ps;
-            per_channel_max = per_channel_max.max(t.max(a));
+        self.access_ps(0, bytes.div_ceil(self.burst_bytes), |_| 0)
+    }
+
+    /// `(bursts, rows)` one scattered request of `bytes_each` touches:
+    /// it lands unaligned on cold rows, so it spans
+    /// `1 + ceil((bursts − 1)·burst / row)` consecutive rows.
+    fn scattered_shape(&self, bytes_each: u64) -> (u64, u64) {
+        let bursts = bytes_each.div_ceil(self.burst_bytes);
+        let rows = 1 + ((bursts - 1) * self.burst_bytes).div_ceil(self.row_bytes);
+        (bursts, rows)
+    }
+
+    /// Duration (ps) of `n` independent reads of `bytes_each` at random
+    /// (cold-row) addresses.
+    ///
+    /// Closed form, O(1) in `n`: every request's rows spread
+    /// round-robin over the channels, and the request is bounded by its
+    /// busiest channel — full rows of transfer vs. pipelined
+    /// activations — plus the pipeline-fill row miss. This prices a
+    /// token-scattered KV gather (the InfiniGen/ReKV fetch pattern)
+    /// without walking hundreds of thousands of simulated requests.
+    pub fn scattered_read_ps(&self, n: u64, bytes_each: u64) -> u64 {
+        if n == 0 || bytes_each == 0 {
+            return 0;
         }
-        per_channel_max + self.row_miss_ps
+        let b = self.burst_bytes;
+        let (bursts, rows) = self.scattered_shape(bytes_each);
+        let rows_per_channel = rows.div_ceil(self.channels as u64);
+        let burst_transfer = transfer_ps(b, self.channel_bytes_per_s);
+        let transfer =
+            bursts.min(rows_per_channel * (self.row_bytes / b.max(1)).max(1)) * burst_transfer;
+        let activate = rows_per_channel * self.act_interval_ps;
+        n * (transfer.max(activate) + self.row_miss_ps)
+    }
+
+    /// Duration (ps) of reading `bytes` in DMA chunks of `chunk_bytes`
+    /// from a fresh device: one contiguous stream from
+    /// [`CONTIGUOUS_CHUNK_BYTES`] up, one scattered request per chunk
+    /// below it.
+    pub fn read_ps(&self, bytes: u64, chunk_bytes: u64) -> u64 {
+        if chunk_bytes >= CONTIGUOUS_CHUNK_BYTES {
+            self.stream_read_ps(bytes)
+        } else {
+            self.scattered_read_ps(bytes.div_ceil(chunk_bytes), chunk_bytes)
+        }
     }
 }
 
@@ -219,37 +274,10 @@ impl Dram {
             return self.access_per_burst(addr, bytes);
         }
         self.bytes_accessed += bytes;
-        let b = self.cfg.burst_bytes;
-        let row_bytes = self.cfg.row_bytes;
-        let channels = self.cfg.channels as u64;
-        let banks = self.cfg.banks_per_channel as u64;
-        let slots = channels * banks;
-        let n_bursts = bytes.div_ceil(b);
-        let bursts_per_row = row_bytes / b;
-
-        // Rows visited: consecutive row ids, cycling channels as
-        // `row_global % channels`. Middle rows hold exactly
-        // `row_bytes / burst` bursts (the burst grid divides the row);
-        // only the first and last rows are partial.
-        let r_first = addr / row_bytes;
-        let r_last = (addr + (n_bursts - 1) * b) / row_bytes;
+        let slots = (self.cfg.channels * self.cfg.banks_per_channel) as u64;
+        let n_bursts = bytes.div_ceil(self.cfg.burst_bytes);
+        let (r_first, r_last) = self.cfg.row_span(addr, n_bursts);
         let n_rows = r_last - r_first + 1;
-        let k_first = ((r_first + 1) * row_bytes - addr).div_ceil(b).min(n_bursts);
-
-        // Per-channel burst and row counts. `count_congruent` is the
-        // number of rows in [r_first, r_last] landing on the channel.
-        let mut transfer_bursts = vec![0u64; self.cfg.channels];
-        let mut rows_in_channel = vec![0u64; self.cfg.channels];
-        for ch in 0..self.cfg.channels {
-            let rows = count_congruent(r_first, r_last, channels, ch as u64);
-            rows_in_channel[ch] = rows;
-            transfer_bursts[ch] = rows * bursts_per_row;
-        }
-        transfer_bursts[(r_first % channels) as usize] -= bursts_per_row - k_first;
-        if n_rows >= 2 {
-            let k_last = n_bursts - k_first - (n_rows - 2) * bursts_per_row;
-            transfer_bursts[(r_last % channels) as usize] -= bursts_per_row - k_last;
-        }
 
         // Row hits can only happen on the first visit to each
         // (channel, bank) slot — consecutive row ids revisit a slot
@@ -279,22 +307,7 @@ impl Dram {
             let (slot, _, row) = self.map_row(r);
             self.open_rows[slot] = row;
         }
-
-        let burst_transfer = transfer_ps(b, self.cfg.channel_bytes_per_s);
-        // Per channel: data-transfer time accumulates serially on the
-        // bus; row activations proceed on *other banks* in parallel and
-        // only bound the channel when activation work exceeds transfer
-        // work (bank-level parallelism pipelines them).
-        let per_channel = (0..self.cfg.channels)
-            .map(|ch| {
-                let t = transfer_bursts[ch] * burst_transfer;
-                let a = (rows_in_channel[ch] - hits_in_channel[ch]) * self.cfg.act_interval_ps;
-                t.max(a)
-            })
-            .max()
-            .unwrap_or(0);
-        // One activation latency to fill the pipeline.
-        per_channel + self.cfg.row_miss_ps
+        self.cfg.access_ps(addr, n_bursts, |ch| hits_in_channel[ch])
     }
 
     /// `(slot, channel, in-bank row)` of a global row id.
@@ -362,41 +375,24 @@ impl Dram {
     /// Effective bandwidth achieved by a hypothetical streaming read of
     /// `bytes` (fresh model), bytes/s.
     pub fn streaming_bandwidth(cfg: &DramConfig, bytes: u64) -> f64 {
-        let mut d = Dram::new(cfg.clone());
-        let ps = d.access(0, bytes);
-        bytes as f64 / (ps as f64 / 1e12)
+        bytes as f64 / ps_to_seconds(cfg.stream_read_ps(bytes))
     }
 
-    /// Duration of scattered reads: `n` independent reads of
-    /// `bytes_each` at random (cold-row) addresses.
-    ///
-    /// Closed form, O(1) in `n`: every request lands unaligned on cold
-    /// rows, touches `1 + ceil((bursts−1)·burst/row)` consecutive rows
-    /// spread round-robin over the channels, and is bounded by its
-    /// busiest channel — full rows of transfer vs. pipelined
-    /// activations — plus the pipeline-fill row miss. This prices a
-    /// token-scattered KV gather (the InfiniGen/ReKV fetch pattern)
-    /// without walking hundreds of thousands of simulated requests.
+    /// [`DramConfig::scattered_read_ps`], counted toward this device's
+    /// bytes, row hits and row misses.
     pub fn scattered_read(&mut self, n: u64, bytes_each: u64) -> u64 {
         if n == 0 || bytes_each == 0 {
             return 0;
         }
         self.bytes_accessed += n * bytes_each;
-        let b = self.cfg.burst_bytes;
-        let bursts = bytes_each.div_ceil(b);
-        let rows = 1 + ((bursts - 1) * b).div_ceil(self.cfg.row_bytes);
+        let (bursts, rows) = self.cfg.scattered_shape(bytes_each);
         self.row_misses += n * rows;
         self.row_hits += n * bursts.saturating_sub(rows);
         // A scattered sweep trashes the row buffers: whatever was open
         // before is gone afterwards (the per-request walk this replaces
         // evicted rows as its random addresses landed).
         self.open_rows.fill(u64::MAX);
-        let rows_per_channel = rows.div_ceil(self.cfg.channels as u64);
-        let burst_transfer = transfer_ps(b, self.cfg.channel_bytes_per_s);
-        let transfer =
-            bursts.min(rows_per_channel * (self.cfg.row_bytes / b.max(1)).max(1)) * burst_transfer;
-        let activate = rows_per_channel * self.cfg.act_interval_ps;
-        n * (transfer.max(activate) + self.cfg.row_miss_ps)
+        self.cfg.scattered_read_ps(n, bytes_each)
     }
 }
 
@@ -405,12 +401,6 @@ fn count_congruent(lo: u64, hi: u64, modulus: u64, rem: u64) -> u64 {
     // Count in [0, n) with the residue, then difference.
     let below = |n: u64| n / modulus + u64::from(n % modulus > rem);
     below(hi + 1) - below(lo)
-}
-
-/// Time for an idealised transfer at a DRAM's peak bandwidth — used
-/// where only sustained bandwidth matters (weight streaming).
-pub fn peak_transfer_ps(cfg: &DramConfig, bytes: u64) -> u64 {
-    seconds_to_ps(bytes as f64 / cfg.peak_bytes_per_s())
 }
 
 #[cfg(test)]
@@ -467,6 +457,56 @@ mod tests {
                     cfg.name
                 );
             }
+        }
+    }
+
+    #[test]
+    fn read_ps_streams_from_the_contiguity_threshold_up() {
+        // Oracle: what fetch pricing computed before `read_ps` — a
+        // fresh stateful device's stream at or above 64 KiB chunks, and
+        // below it the arithmetic as `Dram::scattered_read` wrote it
+        // out before it delegated.
+        let boundary = CONTIGUOUS_CHUNK_BYTES;
+        for cfg in [
+            DramConfig::lpddr5_204gb(),
+            DramConfig::hbm2e_1935gb(),
+            DramConfig::ddr4_cpu(),
+        ] {
+            let scattered = |n: u64, each: u64| {
+                let b = cfg.burst_bytes;
+                let bursts = each.div_ceil(b);
+                let rows = 1 + ((bursts - 1) * b).div_ceil(cfg.row_bytes);
+                let rows_per_channel = rows.div_ceil(cfg.channels as u64);
+                let transfer = bursts.min(rows_per_channel * (cfg.row_bytes / b))
+                    * transfer_ps(b, cfg.channel_bytes_per_s);
+                let activate = rows_per_channel * cfg.act_interval_ps;
+                n * (transfer.max(activate) + cfg.row_miss_ps)
+            };
+            for bytes in [1u64, 40_960, boundary, (1 << 20) + 7, 1 << 30] {
+                for chunk in [boundary, boundary + 1, 256 << 10] {
+                    assert_eq!(
+                        cfg.read_ps(bytes, chunk),
+                        Dram::new(cfg.clone()).access(0, bytes),
+                        "{}: {bytes}B / {chunk}",
+                        cfg.name
+                    );
+                }
+                for chunk in [64u64, 4096, 40_960, boundary - 1] {
+                    let expected = scattered(bytes.div_ceil(chunk), chunk);
+                    assert_eq!(
+                        cfg.read_ps(bytes, chunk),
+                        expected,
+                        "{}: {bytes}B / {chunk}",
+                        cfg.name
+                    );
+                    // The stateful wrapper only adds accounting.
+                    let mut d = Dram::new(cfg.clone());
+                    assert_eq!(d.scattered_read(bytes.div_ceil(chunk), chunk), expected);
+                    assert_eq!(d.bytes_accessed, bytes.div_ceil(chunk) * chunk);
+                }
+            }
+            assert_eq!(cfg.read_ps(0, 4096), 0);
+            assert_eq!(cfg.scattered_read_ps(16, 0), 0);
         }
     }
 

@@ -5,7 +5,8 @@
 //! The paper evaluates with a custom cycle-level simulator integrating
 //! DRAMSim3 (DRAM), MQSim (SSD), measured PCIe bandwidths, and an RTL
 //! implementation of the V-Rex core. This crate rebuilds each substrate
-//! at the fidelity the evaluation actually exercises (DESIGN.md §1):
+//! at the fidelity the evaluation actually exercises (ARCHITECTURE.md,
+//! "The analytic step-pricing model"):
 //!
 //! * [`time`] — picosecond simulation time and cycle conversions;
 //! * [`engine`] — a dependency-graph resource scheduler producing end
@@ -46,6 +47,12 @@ pub mod ssd;
 pub mod tier;
 pub mod time;
 pub mod vrexunits;
+
+/// DMA chunk size (bytes) from which an offload source — SSD flash or
+/// CPU DRAM — serves a transfer as one contiguous stream; smaller
+/// chunks degenerate into one scattered request each
+/// ([`ssd::SsdConfig::read_ps`], [`dram::DramConfig::read_ps`]).
+pub const CONTIGUOUS_CHUNK_BYTES: u64 = 64 * 1024;
 
 pub use energy::EnergyMeter;
 pub use engine::{Engine, ResourceId, TaskId};

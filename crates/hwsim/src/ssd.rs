@@ -9,6 +9,7 @@
 //! the KVMU's cluster-contiguous memory mapping matters.
 
 use crate::time::transfer_ps;
+use crate::CONTIGUOUS_CHUNK_BYTES;
 
 /// Static SSD configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,20 +58,15 @@ impl SsdConfig {
         self.channel_bytes_per_s * self.channels as f64
     }
 
-    /// Duration (ps) of a contiguous read of `bytes` on an otherwise
-    /// idle drive — exactly [`Ssd::read_contiguous`] on a fresh model,
-    /// without constructing the stateful wrapper. Tier-migration
-    /// pricing calls this per batch member, so it must stay
-    /// allocation-free; the `stream_read_matches_fresh_ssd` oracle
-    /// test pins the equivalence.
-    pub fn stream_read_ps(&self, bytes: u64) -> u64 {
-        if bytes == 0 {
-            return 0;
-        }
-        let pages = bytes.div_ceil(self.page_bytes);
+    /// Duration (ps) of reading `pages` flash pages striped round-robin
+    /// over all channels and dies. Die reads pipeline with channel
+    /// transfers, so the read is bounded by the slower of the flash
+    /// array (each die reads its share of pages serially) and the
+    /// channels (each moves its share of the bytes), plus one
+    /// page-read latency to fill the pipeline.
+    fn pages_read_ps(&self, pages: u64) -> u64 {
         let n_dies = (self.channels * self.dies_per_channel) as u64;
-        let pages_per_die = pages.div_ceil(n_dies);
-        let array_ps = pages_per_die * self.page_read_ps;
+        let array_ps = pages.div_ceil(n_dies) * self.page_read_ps;
         let pages_per_channel = pages.div_ceil(self.channels as u64);
         let transfer = transfer_ps(
             pages_per_channel * self.page_bytes,
@@ -79,24 +75,38 @@ impl SsdConfig {
         array_ps.max(transfer) + self.page_read_ps
     }
 
+    /// Duration (ps) of a contiguous read of `bytes` on an otherwise
+    /// idle drive. Allocation-free: tier-migration and fetch pricing
+    /// call this per batch member.
+    pub fn stream_read_ps(&self, bytes: u64) -> u64 {
+        if bytes == 0 {
+            return 0;
+        }
+        self.pages_read_ps(bytes.div_ceil(self.page_bytes))
+    }
+
     /// Duration (ps) of `n_requests` scattered reads of `bytes_each`
-    /// on an otherwise idle drive — [`Ssd::read_scattered`] on a fresh
-    /// model, allocation-free (see [`Self::stream_read_ps`]).
+    /// on an otherwise idle drive. Each request touches distinct
+    /// random pages: a request smaller than a page still occupies a
+    /// die for a full page read and the channel for a full page
+    /// transfer, and requests queue across dies (multi-queue
+    /// parallelism).
     pub fn scattered_read_ps(&self, n_requests: u64, bytes_each: u64) -> u64 {
         if n_requests == 0 || bytes_each == 0 {
             return 0;
         }
-        let pages_per_req = bytes_each.div_ceil(self.page_bytes);
-        let total_pages = n_requests * pages_per_req;
-        let n_dies = (self.channels * self.dies_per_channel) as u64;
-        let pages_per_die = total_pages.div_ceil(n_dies);
-        let array_ps = pages_per_die * self.page_read_ps;
-        let pages_per_channel = total_pages.div_ceil(self.channels as u64);
-        let transfer = transfer_ps(
-            pages_per_channel * self.page_bytes,
-            self.channel_bytes_per_s,
-        );
-        array_ps.max(transfer) + self.page_read_ps
+        self.pages_read_ps(n_requests * bytes_each.div_ceil(self.page_bytes))
+    }
+
+    /// Duration (ps) of reading `bytes` in DMA chunks of `chunk_bytes`:
+    /// one contiguous stream from [`CONTIGUOUS_CHUNK_BYTES`] up, one
+    /// scattered request per chunk below it.
+    pub fn read_ps(&self, bytes: u64, chunk_bytes: u64) -> u64 {
+        if chunk_bytes >= CONTIGUOUS_CHUNK_BYTES {
+            self.stream_read_ps(bytes)
+        } else {
+            self.scattered_read_ps(bytes.div_ceil(chunk_bytes), chunk_bytes)
+        }
     }
 }
 
@@ -123,57 +133,20 @@ impl Ssd {
         &self.cfg
     }
 
-    /// Duration (ps) of a contiguous read of `bytes`.
-    ///
-    /// Pages stripe round-robin over all channels and dies; die reads
-    /// pipeline with channel transfers, so large reads are limited by
-    /// the slower of aggregate flash-array throughput and channel
-    /// bandwidth, plus one page-read latency to fill the pipeline.
+    /// [`SsdConfig::stream_read_ps`], counted toward this drive's
+    /// bytes read and busy time.
     pub fn read_contiguous(&mut self, bytes: u64) -> u64 {
-        if bytes == 0 {
-            return 0;
-        }
+        let t = self.cfg.stream_read_ps(bytes);
         self.bytes_read += bytes;
-        let pages = bytes.div_ceil(self.cfg.page_bytes);
-        let n_dies = (self.cfg.channels * self.cfg.dies_per_channel) as u64;
-        // Flash array: each die reads its share of pages serially.
-        let pages_per_die = pages.div_ceil(n_dies);
-        let array_ps = pages_per_die * self.cfg.page_read_ps;
-        // Channel transfer: per-channel share of the bytes.
-        let pages_per_channel = pages.div_ceil(self.cfg.channels as u64);
-        let transfer = transfer_ps(
-            pages_per_channel * self.cfg.page_bytes,
-            self.cfg.channel_bytes_per_s,
-        );
-        // Pipelined: max of the two stages + one page latency fill.
-        let t = array_ps.max(transfer) + self.cfg.page_read_ps;
         self.busy_ps += t;
         t
     }
 
-    /// Duration (ps) of `n_requests` scattered reads of `bytes_each`.
-    ///
-    /// Each request touches distinct random pages: a request smaller
-    /// than a page still occupies a die for a full page read and the
-    /// channel for a full page transfer. Requests queue across dies
-    /// (multi-queue parallelism), so the duration is the per-die serial
-    /// time of its share of requests.
+    /// [`SsdConfig::scattered_read_ps`], counted toward this drive's
+    /// bytes read and busy time.
     pub fn read_scattered(&mut self, n_requests: u64, bytes_each: u64) -> u64 {
-        if n_requests == 0 || bytes_each == 0 {
-            return 0;
-        }
+        let t = self.cfg.scattered_read_ps(n_requests, bytes_each);
         self.bytes_read += n_requests * bytes_each;
-        let pages_per_req = bytes_each.div_ceil(self.cfg.page_bytes);
-        let total_pages = n_requests * pages_per_req;
-        let n_dies = (self.cfg.channels * self.cfg.dies_per_channel) as u64;
-        let pages_per_die = total_pages.div_ceil(n_dies);
-        let array_ps = pages_per_die * self.cfg.page_read_ps;
-        let pages_per_channel = total_pages.div_ceil(self.cfg.channels as u64);
-        let transfer = transfer_ps(
-            pages_per_channel * self.cfg.page_bytes,
-            self.cfg.channel_bytes_per_s,
-        );
-        let t = array_ps.max(transfer) + self.cfg.page_read_ps;
         self.busy_ps += t;
         t
     }
@@ -223,6 +196,33 @@ mod tests {
         }
         assert_eq!(cfg.stream_read_ps(0), 0);
         assert_eq!(cfg.scattered_read_ps(0, 4096), 0);
+    }
+
+    #[test]
+    fn read_ps_streams_from_the_contiguity_threshold_up() {
+        // Oracle: the page arithmetic as it was written out in
+        // `read_contiguous` / `read_scattered` before they delegated.
+        let cfg = SsdConfig::bg6_class();
+        let pages_ps = |pages: u64| {
+            let per_die = pages.div_ceil((cfg.channels * cfg.dies_per_channel) as u64);
+            let per_channel = pages.div_ceil(cfg.channels as u64);
+            let transfer = transfer_ps(per_channel * cfg.page_bytes, cfg.channel_bytes_per_s);
+            (per_die * cfg.page_read_ps).max(transfer) + cfg.page_read_ps
+        };
+        let boundary = CONTIGUOUS_CHUNK_BYTES;
+        assert_eq!(boundary, 65_536);
+        for bytes in [1u64, 40_960, boundary, (1 << 20) + 7, 1 << 30] {
+            for chunk in [boundary, boundary + 1, 256 << 10] {
+                let contiguous = pages_ps(bytes.div_ceil(cfg.page_bytes));
+                assert_eq!(cfg.read_ps(bytes, chunk), contiguous, "{bytes}B / {chunk}");
+            }
+            for chunk in [512u64, 4096, 40_960, boundary - 1] {
+                let scattered = pages_ps(bytes.div_ceil(chunk) * chunk.div_ceil(cfg.page_bytes));
+                assert_eq!(cfg.read_ps(bytes, chunk), scattered, "{bytes}B / {chunk}");
+            }
+        }
+        assert_eq!(cfg.read_ps(0, 4096), 0);
+        assert_eq!(cfg.read_ps(0, boundary), 0);
     }
 
     #[test]

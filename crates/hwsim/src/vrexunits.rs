@@ -239,6 +239,26 @@ impl VRexChipConfig {
     pub fn peak_flops(&self) -> f64 {
         self.core.peak_flops() * self.n_cores as f64
     }
+
+    /// Time (ps) for `flops` of dense work and `bytes` of device-memory
+    /// traffic split evenly over the cores: each core's DPE runs its
+    /// share at `utilization` against its share of `mem_bytes_per_s`
+    /// ([`DpeConfig::op_ps`]'s per-core roofline).
+    pub fn dense_op_ps(
+        &self,
+        flops: u64,
+        utilization: f64,
+        bytes: u64,
+        mem_bytes_per_s: f64,
+    ) -> u64 {
+        let cores = self.n_cores as u64;
+        self.core.dpe.op_ps(
+            flops / cores,
+            utilization,
+            bytes / cores,
+            mem_bytes_per_s / cores as f64,
+        )
+    }
 }
 
 #[cfg(test)]

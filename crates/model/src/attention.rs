@@ -84,8 +84,9 @@ pub fn attention_with_selection(
 /// selected history tokens, averaged over the query rows.
 ///
 /// This is the attention-recall metric behind the accuracy proxy
-/// (DESIGN.md §1): a retrieval method that captures nearly all of the
-/// true attention mass cannot change the model output much.
+/// (`vrex-workload`; ARCHITECTURE.md, "Crate DAG"): a retrieval method
+/// that captures nearly all of the true attention mass cannot change
+/// the model output much.
 ///
 /// Only history tokens are scored (the block's own tokens are always
 /// attended and would inflate recall).

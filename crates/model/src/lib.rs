@@ -6,7 +6,7 @@
 //! The paper runs VideoLLM-Online with a Llama-3 8B backbone and a
 //! SigLIP vision tower. Neither the weights nor the dataset are
 //! available here, so this crate provides the closest executable
-//! equivalent (see `DESIGN.md` §1):
+//! equivalent (see ARCHITECTURE.md, "Crate DAG"):
 //!
 //! * a real multi-layer, multi-head transformer decoder with RoPE,
 //!   grouped-query attention and growing per-layer KV caches

@@ -10,7 +10,7 @@ use vrex_hwsim::tier::{TierCapacities, TierPath};
 use vrex_model::ModelConfig;
 
 use crate::method::Method;
-use crate::pipeline::{layer_costs, LayerCosts, Workload};
+use crate::pipeline::{layer_costs, LayerCosts, Workload, DPE_DENSE_UTILIZATION};
 use crate::platform::{ComputeSpec, PlatformSpec};
 
 /// Activation / workspace headroom reserved out of device memory before
@@ -195,15 +195,12 @@ impl SystemModel {
             ComputeSpec::Gpu(g) => {
                 g.dense_op_ps(self.platform.vision_flops * b, self.platform.vision_bytes)
             }
-            ComputeSpec::VRex(v) => {
-                let cores = v.n_cores as u64;
-                v.core.dpe.op_ps(
-                    self.platform.vision_flops * b / cores,
-                    0.8,
-                    self.platform.vision_bytes / cores,
-                    self.platform.dram.peak_bytes_per_s() / cores as f64,
-                )
-            }
+            ComputeSpec::VRex(v) => v.dense_op_ps(
+                self.platform.vision_flops * b,
+                DPE_DENSE_UTILIZATION,
+                self.platform.vision_bytes,
+                self.platform.dram.peak_bytes_per_s(),
+            ),
         };
         t + self.platform.frame_overhead_ps
     }
@@ -241,7 +238,6 @@ impl SystemModel {
             dense_ps + attention_ps + vision_ps,
             prediction_ps,
             fetch_ps,
-            fetch_bytes,
             dram_bytes,
         );
         StepResult {
@@ -258,14 +254,12 @@ impl SystemModel {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn energy(
         &self,
         latency_ps: u64,
         compute_busy_ps: u64,
         prediction_ps: u64,
         fetch_ps: u64,
-        _fetch_bytes: u64,
         dram_bytes: u64,
     ) -> EnergyBreakdown {
         let latency_s = latency_ps as f64 / 1e12;
@@ -351,11 +345,8 @@ impl SystemModel {
         tokens: usize,
     ) -> StepResult {
         let w = Workload {
-            model: model.clone(),
-            cache_tokens,
-            batch,
             new_tokens: tokens,
-            generation: false,
+            ..Workload::frame(model, cache_tokens, batch)
         };
         self.step(&w, false)
     }

@@ -50,8 +50,7 @@ pub mod serve;
 pub use e2e::{EnergyBreakdown, StepResult, SystemModel};
 pub use eventq::{EventQueue, QueueKind, TimeKeyed, TimerWheel};
 pub use memory::{
-    AdmissionPolicy, MigrationTask, PrefetchMode, RestoreOutcome, RestorePlan, TierStats,
-    TieredKvManager,
+    AdmissionPolicy, MigrationTask, PrefetchMode, RestorePlan, TierStats, TieredKvManager,
 };
 pub use method::{Method, MethodProfile};
 pub use placement::{

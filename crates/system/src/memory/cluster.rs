@@ -66,43 +66,6 @@ impl ClusterState {
         }
     }
 
-    /// The coldest run in `tier` that starts below rank `limit`: its
-    /// index, cluster size and cluster count clipped to `limit`.
-    fn coldest_in(&self, tier: MemTier, limit: u64) -> Option<(usize, u64, u64)> {
-        let mut start = 0u64;
-        for (i, run) in self.spilled.iter().enumerate() {
-            if start >= limit {
-                break;
-            }
-            if run.tier == tier {
-                return Some((i, run.bytes, run.count.min(limit - start)));
-            }
-            start += run.count;
-        }
-        None
-    }
-
-    /// Moves the coldest `count` clusters of run `i` to `tier`.
-    pub(super) fn retier_front(&mut self, i: usize, count: u64, tier: MemTier) {
-        let bytes = self.spilled[i].bytes;
-        self.spilled[i].count -= count;
-        self.spilled.insert(i, ClusterRun { tier, bytes, count });
-        if self.spilled[i + 1].count == 0 {
-            self.spilled.remove(i + 1);
-        }
-        // The moved clusters may now equal either neighbour: merge the
-        // next run into them, then them into the previous run.
-        for j in [i + 1, i] {
-            if (1..self.spilled.len()).contains(&j) {
-                let (run, prev) = (self.spilled[j], &mut self.spilled[j - 1]);
-                if (prev.tier, prev.bytes) == (run.tier, run.bytes) {
-                    prev.count += run.count;
-                    self.spilled.remove(j);
-                }
-            }
-        }
-    }
-
     /// Adds the spilled clusters at ranks `[lo, hi)` to `bytes` (per
     /// tier) and returns how many there are.
     fn sum_ranks(&self, lo: u64, hi: u64, bytes: &mut [u64; 3]) -> u64 {
@@ -174,13 +137,6 @@ impl TieredKvManager {
             protected_ratio: protected_ratio.clamp(0.0, 1.0),
         });
         self
-    }
-
-    /// Cluster-mode knobs, if enabled: `(cluster_bytes,
-    /// protected_ratio)`.
-    pub fn cluster_params(&self) -> Option<(u64, f64)> {
-        self.cluster_mode
-            .map(|c| (c.cluster_bytes, c.protected_ratio))
     }
 
     /// One stream's spilled clusters as `(coldness_rank, tier, bytes)`
@@ -280,14 +236,14 @@ impl TieredKvManager {
         })
     }
 
-    /// Cluster-granular spill: while `tier` is over budget, demote the
-    /// coldest clusters of the coldest sessions. Pass 1 only takes
+    /// Cluster-granular spill: while the device is over budget, demote
+    /// the coldest clusters of the coldest sessions. Pass 1 only takes
     /// each session's unprotected cold tail; pass 2 (pressure still
     /// unresolved) may evict protected WiCSum-hot clusters too — a hot
     /// session's cold clusters leave before any session's hot ones.
-    pub(super) fn spill_tier_clusters(&mut self, tier: MemTier, cfg: ClusterModeCfg) {
-        let src = tier_index(tier);
-        if self.used[src] <= self.caps.capacity(tier) {
+    pub(super) fn spill_clusters(&mut self, cfg: ClusterModeCfg) {
+        let dev = tier_index(MemTier::Device);
+        if self.used[dev] <= self.caps.device_bytes {
             return;
         }
         // Coldest sessions first; ties resolve to the smaller id
@@ -298,11 +254,11 @@ impl TieredKvManager {
         order.sort_unstable_by_key(|&i| (self.sessions[i].res.last_active_ps, self.sessions[i].id));
         'passes: for protected_pass in [false, true] {
             for &si in &order {
-                // Done when the tier fits. A full hierarchy (`false`)
+                // Done when the device fits. A full hierarchy (`false`)
                 // leaves it over budget (admission control prevents
                 // this in practice).
-                if self.used[src] <= self.caps.capacity(tier)
-                    || !self.demote_session_clusters(si, tier, cfg, protected_pass)
+                if self.used[dev] <= self.caps.device_bytes
+                    || !self.demote_session_clusters(si, cfg, protected_pass)
                 {
                     break 'passes;
                 }
@@ -311,18 +267,17 @@ impl TieredKvManager {
         self.order_scratch = order;
     }
 
-    /// Demotes clusters of one session out of `tier` until the tier
+    /// Demotes clusters of one session off the device until the device
     /// fits or the session has nothing (in this pass's class) left.
     /// Returns `false` when no lower tier has room for a cluster.
     fn demote_session_clusters(
         &mut self,
         si: usize,
-        tier: MemTier,
         cfg: ClusterModeCfg,
         protected_pass: bool,
     ) -> bool {
-        let src = tier_index(tier);
-        let cap = self.caps.capacity(tier);
+        let dev = tier_index(MemTier::Device);
+        let cap = self.caps.device_bytes;
         let id = self.sessions[si].id;
         let total = self.sessions[si].res.total_bytes();
         if total == 0 {
@@ -338,67 +293,55 @@ impl TieredKvManager {
         let mut run: Option<(MemTier, MemTier)> = None;
         let mut run_bytes = 0u64;
         let ok = loop {
-            if self.used[src] <= cap {
+            if self.used[dev] <= cap {
                 break true;
             }
-            let over = self.used[src] - cap;
-            // Next coldest candidates in this pass's class, `take`
-            // clusters of `bytes` each: for the device tier the next
+            let over = self.used[dev] - cap;
+            // Next coldest candidates in this pass's class: the next
             // unspilled coldness ranks (the spilled set is a contiguous
-            // prefix [0, s)); for a lower tier the coldest run already
-            // spilled there (cascade; `None` for a device demotion).
-            let (bytes, take, cascade) = match tier {
-                MemTier::Device => {
-                    let device = self.sessions[si].res.device_bytes;
-                    if device == 0 {
-                        break true;
-                    }
-                    // Spilled mass in current-granule units: exactly
-                    // the spilled-cluster count for a static granule,
-                    // and the current-granule equivalent of stale
-                    // finer clusters once chaining has coarsened it —
-                    // so the protected prefix keeps its byte meaning,
-                    // and every whole granule demoted adds one. The
-                    // protected pass demotes everything, so only
-                    // `device == 0` stops it.
-                    let s = self.sessions[si].res.spilled_bytes().div_ceil(granule);
-                    if !protected_pass && s >= limit {
-                        break true;
-                    }
-                    let class = if protected_pass { u64::MAX } else { limit - s };
-                    // A partial last cluster goes alone.
-                    let bytes = granule.min(device);
-                    (bytes, (device / bytes).min(class), None)
-                }
-                _ => match self.sessions[si].clusters.coldest_in(tier, limit) {
-                    Some((i, bytes, count)) => (bytes, count, Some(i)),
-                    None => break true,
-                },
-            };
+            // prefix [0, s)).
+            let device = self.sessions[si].res.device_bytes;
+            if device == 0 {
+                break true;
+            }
+            // Spilled mass in current-granule units: exactly the
+            // spilled-cluster count for a static granule, and the
+            // current-granule equivalent of stale finer clusters once
+            // chaining has coarsened it — so the protected prefix keeps
+            // its byte meaning, and every whole granule demoted adds
+            // one. The protected pass demotes everything, so only
+            // `device == 0` stops it.
+            let s = self.sessions[si].res.spilled_bytes().div_ceil(granule);
+            if !protected_pass && s >= limit {
+                break true;
+            }
+            let class = if protected_pass { u64::MAX } else { limit - s };
+            // A partial last cluster goes alone.
+            let bytes = granule.min(device);
             // Nearest lower tier with room for a whole cluster —
             // clusters never straddle tiers.
-            let caps = self.caps;
-            let room = |t| caps.capacity(t).saturating_sub(self.used[tier_index(t)]);
-            let Some(dest) = caps.below(tier).find(|&t| room(t) >= bytes) else {
+            let mut below = self.caps.below(MemTier::Device);
+            let Some(dest) = below.find(|&t| self.room(t) >= bytes) else {
                 break false;
             };
-            // As many clusters as bring the tier back under budget,
+            // As many clusters as bring the device back under budget,
             // bounded by the class and by the destination's room.
-            let count = over.div_ceil(bytes).min(take).min(room(dest) / bytes);
+            let count = over
+                .div_ceil(bytes)
+                .min(device / bytes)
+                .min(class)
+                .min(self.room(dest) / bytes);
             let moved = count * bytes;
-            if run.is_some() && run != Some((tier, dest)) {
+            if run.is_some() && run != Some((MemTier::Device, dest)) {
                 flush_run(&mut self.pending_migrations, id, &mut run, &mut run_bytes);
             }
-            run = Some((tier, dest));
+            run = Some((MemTier::Device, dest));
             run_bytes += moved;
             let s = &mut self.sessions[si];
-            match cascade {
-                None => s.clusters.push(dest, bytes, count),
-                Some(i) => s.clusters.retier_front(i, count, dest),
-            }
-            *tier_bytes_mut(&mut s.res, tier) -= moved;
+            s.clusters.push(dest, bytes, count);
+            s.res.device_bytes -= moved;
             *tier_bytes_mut(&mut s.res, dest) += moved;
-            self.used[src] -= moved;
+            self.used[dev] -= moved;
             self.used[tier_index(dest)] += moved;
             self.stats.spilled_bytes += moved;
         };
@@ -408,6 +351,7 @@ impl TieredKvManager {
         flush_run(&mut self.pending_migrations, id, &mut run, &mut run_bytes);
         ok
     }
+
     /// Cluster-granular promotion into `free` device bytes: sessions in
     /// `order`, and within a session the hottest spilled cluster
     /// (highest coldness rank) first — whole clusters only.

@@ -24,20 +24,18 @@ pub(in crate::memory) mod reach {
     pub const COARSENED: u32 = 1 << 0;
     /// A partial last cluster (`total % granule != 0`) was demoted.
     pub const PARTIAL: u32 = 1 << 1;
-    /// The host→SSD cascade stopped at `limit` inside a host run.
-    pub const CASCADE_CUT: u32 = 1 << 2;
     /// A device cluster went straight to the SSD: no host tier.
-    pub const NO_HOST: u32 = 1 << 3;
+    pub const NO_HOST: u32 = 1 << 2;
     /// The protected second pass moved a cluster.
-    pub const PROTECTED_PASS: u32 = 1 << 4;
+    pub const PROTECTED_PASS: u32 = 1 << 3;
     /// No lower tier had room for a cluster (`demote` gave up).
-    pub const FULL: u32 = 1 << 5;
+    pub const FULL: u32 = 1 << 4;
     /// Promotion stopped on `bytes > free` between two equal clusters.
-    pub const PROMOTE_MID_RUN: u32 = 1 << 6;
+    pub const PROMOTE_MID_RUN: u32 = 1 << 5;
     /// The misprediction rotation wrapped past `tail` onto a spilled
     /// rank.
-    pub const ROTATION_WRAP: u32 = 1 << 7;
-    pub const ALL: u32 = (1 << 8) - 1;
+    pub const ROTATION_WRAP: u32 = 1 << 6;
+    pub const ALL: u32 = (1 << 7) - 1;
 }
 
 /// One spilled cluster's location and frozen size.
@@ -58,7 +56,7 @@ struct Session {
 
 #[derive(Debug)]
 pub(in crate::memory) struct PerClusterManager {
-    pub(in crate::memory) caps: TierCapacities,
+    caps: TierCapacities,
     path: TierPath,
     cfg: ClusterModeCfg,
     sessions: Vec<Session>,
@@ -238,8 +236,7 @@ impl PerClusterManager {
             r.last_active_ps = now_ps;
             self.used[0] += delta;
         }
-        self.spill_tier_clusters(MemTier::Device);
-        self.spill_tier_clusters(MemTier::Host);
+        self.spill_clusters();
     }
 
     pub(in crate::memory) fn touch(&mut self, id: usize, now_ps: u64) {
@@ -269,28 +266,26 @@ impl PerClusterManager {
         self.promote_clusters(order, free);
     }
 
-    fn spill_tier_clusters(&mut self, tier: MemTier) {
-        let src = tier_index(tier);
-        if self.used[src] <= self.caps.capacity(tier) {
+    fn spill_clusters(&mut self) {
+        if self.used[0] <= self.caps.device_bytes {
             return;
         }
         let mut order: Vec<usize> = (0..self.sessions.len()).collect();
         order.sort_by_key(|&i| (self.sessions[i].res.last_active_ps, self.sessions[i].id));
         for protected_pass in [false, true] {
             for &si in &order {
-                if self.used[src] <= self.caps.capacity(tier) {
+                if self.used[0] <= self.caps.device_bytes {
                     return;
                 }
-                if !self.demote_session_clusters(si, tier, protected_pass) {
+                if !self.demote_session_clusters(si, protected_pass) {
                     return;
                 }
             }
         }
     }
 
-    fn demote_session_clusters(&mut self, si: usize, tier: MemTier, protected_pass: bool) -> bool {
-        let src = tier_index(tier);
-        let cap = self.caps.capacity(tier);
+    fn demote_session_clusters(&mut self, si: usize, protected_pass: bool) -> bool {
+        let cap = self.caps.device_bytes;
         let id = self.sessions[si].id;
         let total = self.sessions[si].res.total_bytes();
         if total == 0 {
@@ -302,54 +297,28 @@ impl PerClusterManager {
         let limit = if protected_pass { n } else { n - protected };
         let mut run: Option<(MemTier, MemTier)> = None;
         let mut run_bytes = 0u64;
-        let mut last_cascaded = None;
         let ok = loop {
-            if self.used[src] <= cap {
+            if self.used[0] <= cap {
                 break true;
             }
-            let (bytes, cascade_rank) = match tier {
-                MemTier::Device => {
-                    let device = self.sessions[si].res.device_bytes;
-                    if device == 0 {
-                        break true;
-                    }
-                    let s = self.sessions[si].res.spilled_bytes().div_ceil(granule);
-                    if !protected_pass && s >= limit {
-                        break true;
-                    }
-                    let previous = self.sessions[si].spilled.last();
-                    if device < granule {
-                        self.reached |= reach::PARTIAL;
-                    } else if granule > self.cfg.cluster_bytes
-                        && previous.is_some_and(|c| c.bytes != granule)
-                    {
-                        self.reached |= reach::COARSENED;
-                    }
-                    (granule.min(device), None)
-                }
-                _ => {
-                    let spilled = &self.sessions[si].spilled;
-                    let found = spilled
-                        .iter()
-                        .take(limit as usize)
-                        .position(|c| c.tier == tier);
-                    match found {
-                        Some(rank) => (spilled[rank].bytes, Some(rank)),
-                        None => {
-                            let limit = limit as usize;
-                            if last_cascaded.is_some_and(|rank| rank + 1 == limit)
-                                && spilled.get(limit).is_some_and(|c| {
-                                    c.tier == tier && c.bytes == spilled[limit - 1].bytes
-                                })
-                            {
-                                self.reached |= reach::CASCADE_CUT;
-                            }
-                            break true;
-                        }
-                    }
-                }
-            };
-            let dest = self.caps.below(tier).find(|&t| {
+            let device = self.sessions[si].res.device_bytes;
+            if device == 0 {
+                break true;
+            }
+            let s = self.sessions[si].res.spilled_bytes().div_ceil(granule);
+            if !protected_pass && s >= limit {
+                break true;
+            }
+            let previous = self.sessions[si].spilled.last();
+            if device < granule {
+                self.reached |= reach::PARTIAL;
+            } else if granule > self.cfg.cluster_bytes
+                && previous.is_some_and(|c| c.bytes != granule)
+            {
+                self.reached |= reach::COARSENED;
+            }
+            let bytes = granule.min(device);
+            let dest = self.caps.below(MemTier::Device).find(|&t| {
                 self.caps
                     .capacity(t)
                     .saturating_sub(self.used[tier_index(t)])
@@ -362,28 +331,19 @@ impl PerClusterManager {
             if protected_pass {
                 self.reached |= reach::PROTECTED_PASS;
             }
-            if (tier, dest) == (MemTier::Device, MemTier::Ssd) && !self.caps.has(MemTier::Host) {
+            if dest == MemTier::Ssd && !self.caps.has(MemTier::Host) {
                 self.reached |= reach::NO_HOST;
             }
-            if run.is_some() && run != Some((tier, dest)) {
+            if run.is_some() && run != Some((MemTier::Device, dest)) {
                 flush_run(&mut self.pending_migrations, id, &mut run, &mut run_bytes);
             }
-            run = Some((tier, dest));
+            run = Some((MemTier::Device, dest));
             run_bytes += bytes;
-            last_cascaded = cascade_rank;
             let s = &mut self.sessions[si];
-            match cascade_rank {
-                None => {
-                    s.spilled.push(SpilledCluster { tier: dest, bytes });
-                    s.res.device_bytes -= bytes;
-                }
-                Some(rank) => {
-                    s.spilled[rank].tier = dest;
-                    *tier_bytes_mut(&mut s.res, tier) -= bytes;
-                }
-            }
+            s.spilled.push(SpilledCluster { tier: dest, bytes });
+            s.res.device_bytes -= bytes;
             *tier_bytes_mut(&mut s.res, dest) += bytes;
-            self.used[src] -= bytes;
+            self.used[0] -= bytes;
             self.used[tier_index(dest)] += bytes;
             self.stats.spilled_bytes += bytes;
         };

@@ -41,58 +41,50 @@ impl TieredKvManager {
         }
     }
 
-    /// Flat spill: while `tier` is over budget, moves the coldest
-    /// stream's bytes to the nearest lower tier with room.
-    pub(super) fn spill_tier(&mut self, tier: MemTier) {
+    /// Flat spill: while the device is over budget, moves the coldest
+    /// stream's device bytes to the nearest lower tier with room.
+    pub(super) fn spill_flat(&mut self) {
+        let dev = tier_index(MemTier::Device);
         loop {
-            let used = self.used[tier_index(tier)];
-            let cap = self.caps.capacity(tier);
+            let used = self.used[dev];
+            let cap = self.caps.device_bytes;
             if used <= cap {
                 return;
             }
             let overflow = used - cap;
-            // Coldest stream holding bytes in this tier; ties resolve
-            // to the smallest id.
+            // Coldest stream holding device bytes; ties resolve to the
+            // smallest id.
             let Some(victim) = self
                 .sessions
                 .iter()
                 .enumerate()
-                .filter(|(_, s)| tier_bytes(&s.res, tier) > 0)
+                .filter(|(_, s)| s.res.device_bytes > 0)
                 .min_by_key(|(_, s)| (s.res.last_active_ps, s.id))
                 .map(|(i, _)| i)
             else {
                 return;
             };
             // Nearest lower tier with room.
-            let Some((dest, room)) = self
-                .caps
-                .below(tier)
-                .map(|t| {
-                    (
-                        t,
-                        self.caps
-                            .capacity(t)
-                            .saturating_sub(self.used[tier_index(t)]),
-                    )
-                })
-                .find(|&(_, room)| room > 0)
+            let below = self.caps.below(MemTier::Device);
+            let Some((dest, room)) = below.map(|t| (t, self.room(t))).find(|&(_, room)| room > 0)
             else {
-                // Hierarchy full: leave the tier over budget (admission
-                // control is responsible for not letting this happen).
+                // Hierarchy full: leave the device over budget
+                // (admission control is responsible for not letting
+                // this happen).
                 return;
             };
             let s = &mut self.sessions[victim];
-            let moved = tier_bytes(&s.res, tier).min(overflow).min(room);
-            *tier_bytes_mut(&mut s.res, tier) -= moved;
+            let moved = s.res.device_bytes.min(overflow).min(room);
+            s.res.device_bytes -= moved;
             *tier_bytes_mut(&mut s.res, dest) += moved;
             let victim_id = s.id;
-            self.used[tier_index(tier)] -= moved;
+            self.used[dev] -= moved;
             self.used[tier_index(dest)] += moved;
             self.stats.spilled_bytes += moved;
             self.mark_spilled(victim);
             self.pending_migrations.push(MigrationTask {
                 session: victim_id,
-                from: tier,
+                from: MemTier::Device,
                 to: dest,
                 bytes: moved,
             });

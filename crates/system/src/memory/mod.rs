@@ -26,7 +26,6 @@
 //! (last-active time, session id), and every duration comes from the
 //! closed-form hardware models.
 //!
-//!
 //! The manager core — residency tracking, restore planning and
 //! committing, the migration-price memo — lives in this file. *What* a
 //! spill, promotion or restore moves is the one decision the two
@@ -171,30 +170,6 @@ impl Residency {
     pub fn spilled_bytes(&self) -> u64 {
         self.host_bytes + self.ssd_bytes
     }
-}
-
-/// Outcome of pricing one step's tier restore.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RestoreOutcome {
-    /// Total time the restore occupies the shared PCIe link (ps),
-    /// hidden or not — the caller charges this against the link
-    /// budget shared by a batch.
-    pub miss_ps: u64,
-    /// Migration time left exposed on the critical path (ps).
-    pub exposed_ps: u64,
-    /// Bytes restored speculatively (in flight from work-visibility;
-    /// cluster plans only, zero on flat plans).
-    pub spec_bytes: u64,
-    /// Bytes demand-fetched at batch formation (cluster plans only).
-    pub demand_bytes: u64,
-    /// Clusters restored speculatively.
-    pub spec_clusters: u64,
-    /// Mispredicted clusters that were spilled and had to be
-    /// demand-fetched.
-    pub demand_clusters: u64,
-    /// Total mispredicted clusters (including ones that happened to be
-    /// device-resident and cost nothing).
-    pub mispredicted_clusters: u64,
 }
 
 /// One bulk KV migration the residency policy decided on — emitted by
@@ -389,11 +364,6 @@ impl TieredKvManager {
         self.caps
     }
 
-    /// Total KV capacity across every tier.
-    pub fn total_capacity_bytes(&self) -> u64 {
-        self.caps.total_bytes()
-    }
-
     /// Bytes currently resident in one tier, fleet-wide (maintained
     /// incrementally; `debug_assert`-checked against the fleet scan).
     pub fn used_bytes(&self, tier: MemTier) -> u64 {
@@ -406,6 +376,13 @@ impl TieredKvManager {
             "cached {tier} total diverged from the fleet scan"
         );
         self.used[tier_index(tier)]
+    }
+
+    /// Bytes `tier` can still take before it is over budget.
+    fn room(&self, tier: MemTier) -> u64 {
+        self.caps
+            .capacity(tier)
+            .saturating_sub(self.used[tier_index(tier)])
     }
 
     /// Whether any resident KV currently sits below the device tier.
@@ -529,9 +506,20 @@ impl TieredKvManager {
         generation: bool,
         prefetch: &dyn PrefetchPolicy,
     ) -> RestorePlan {
-        let Ok(slot) = self.slot(id) else {
-            return RestorePlan::default();
-        };
+        match self.slot(id) {
+            Ok(slot) => self.plan_restore_at(slot, ratio, generation, prefetch),
+            Err(_) => RestorePlan::default(),
+        }
+    }
+
+    /// [`Self::plan_restore`] for the tracked stream in `slot`.
+    fn plan_restore_at(
+        &mut self,
+        slot: usize,
+        ratio: f64,
+        generation: bool,
+        prefetch: &dyn PrefetchPolicy,
+    ) -> RestorePlan {
         let ratio = ratio.clamp(0.0, 1.0);
         if let Some(cfg) = self.cluster_mode {
             if let Some(plan) = self.cluster_restore_plan(slot, ratio, generation, cfg, prefetch) {
@@ -571,22 +559,14 @@ impl TieredKvManager {
     /// device memory; colder streams are spilled down if the device
     /// overflows.
     pub fn admit(&mut self, id: usize, bytes: u64, now_ps: u64) {
-        let slot = match self.slot(id) {
-            Ok(i) => i,
-            Err(i) => {
-                let fresh = SessionTier {
-                    id,
-                    ..SessionTier::default()
-                };
-                self.sessions.insert(i, fresh);
-                i
-            }
-        };
-        let r = &mut self.sessions[slot].res;
-        r.device_bytes += bytes;
-        r.last_active_ps = now_ps;
-        self.used[tier_index(MemTier::Device)] += bytes;
-        self.spill_down();
+        if let Err(i) = self.slot(id) {
+            let fresh = SessionTier {
+                id,
+                ..SessionTier::default()
+            };
+            self.sessions.insert(i, fresh);
+        }
+        self.grow(id, bytes, now_ps);
     }
 
     /// Grows a stream's resident demand by `delta` bytes (new KV lands
@@ -620,7 +600,10 @@ impl TieredKvManager {
         self.promote_into_free();
     }
 
-    /// Prices the tier miss of one step and applies prefetch overlap.
+    /// Prices the tier miss of one step, applies prefetch overlap and
+    /// commits the outcome: returns the committed plan and the
+    /// migration time left exposed on the critical path (ps). An
+    /// untracked stream restores nothing and counts nothing.
     ///
     /// `ratio` is the method's selection ratio for the step's stage —
     /// the share of the stream's spilled bytes the step must restore.
@@ -629,7 +612,7 @@ impl TieredKvManager {
     /// step's own compute (which the transfer pipelines with layer by
     /// layer), *minus* whatever of that window other streams' restores
     /// have already claimed on the shared link — the caller owns that
-    /// accounting via [`RestoreOutcome::miss_ps`].
+    /// accounting via [`RestorePlan::miss_ps`].
     pub fn step_restore(
         &mut self,
         id: usize,
@@ -637,48 +620,40 @@ impl TieredKvManager {
         generation: bool,
         window_ps: u64,
         prefetch: &dyn PrefetchPolicy,
-    ) -> RestoreOutcome {
-        if self.slot(id).is_err() {
-            return RestoreOutcome::default();
-        }
-        let plan = self.plan_restore(id, ratio, generation, prefetch);
-        let miss_ps = plan.miss_ps();
+    ) -> (RestorePlan, u64) {
+        let Ok(slot) = self.slot(id) else {
+            return (RestorePlan::default(), 0);
+        };
+        let plan = self.plan_restore_at(slot, ratio, generation, prefetch);
         let hidden = plan.spec_ps().min(window_ps);
-        self.commit_restore(&plan, hidden, miss_ps - hidden);
-        if miss_ps == 0 {
-            return RestoreOutcome::default();
-        }
-        RestoreOutcome {
-            miss_ps,
-            exposed_ps: miss_ps - hidden,
-            spec_bytes: plan.spec_bytes,
-            demand_bytes: plan.demand_bytes,
-            spec_clusters: plan.spec_clusters,
-            demand_clusters: plan.demand_clusters,
-            mispredicted_clusters: plan.mispredicted_clusters,
-        }
+        let exposed = plan.miss_ps() - hidden;
+        self.commit_restore(&plan, hidden, exposed);
+        (plan, exposed)
     }
 
-    /// Demotes coldest bytes until device and host budgets hold —
-    /// whole coldest streams in flat mode, coldest *clusters* of any
-    /// stream in cluster mode.
+    /// Demotes coldest bytes until the device budget holds — whole
+    /// coldest streams in flat mode, coldest *clusters* of any stream
+    /// in cluster mode. Only the device can go over budget: every
+    /// demotion is bounded by its destination's room.
     fn spill_down(&mut self) {
-        if let Some(cfg) = self.cluster_mode {
-            self.spill_tier_clusters(MemTier::Device, cfg);
-            self.spill_tier_clusters(MemTier::Host, cfg);
-        } else {
-            self.spill_tier(MemTier::Device);
-            self.spill_tier(MemTier::Host);
+        match self.cluster_mode {
+            Some(cfg) => self.spill_clusters(cfg),
+            None => self.spill_flat(),
         }
+        debug_assert!(
+            [MemTier::Host, MemTier::Ssd]
+                .iter()
+                .all(|&t| self.used[tier_index(t)] <= self.caps.capacity(t)),
+            "a tier below the device went over budget: {:?} in {:?}",
+            self.used,
+            self.caps
+        );
     }
 
     /// Promotes spilled bytes into free device space, hottest streams
     /// first (ties broken by id for determinism).
     fn promote_into_free(&mut self) {
-        let free = self
-            .caps
-            .device_bytes
-            .saturating_sub(self.used[tier_index(MemTier::Device)]);
+        let free = self.room(MemTier::Device);
         if free == 0 {
             return;
         }

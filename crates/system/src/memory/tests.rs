@@ -96,7 +96,7 @@ fn device_resident_steps_are_tier_hits() {
     let mut m = server_manager(4 * GIB, 8 * GIB, 0);
     m.admit(0, GIB, 0);
     let p = m.step_restore(0, 1.0, false, 0, &NoPrefetch);
-    assert_eq!(p, RestoreOutcome::default());
+    assert_eq!(p, (RestorePlan::default(), 0));
     assert_eq!(m.stats().tier_hit_steps, 1);
     assert_eq!(m.stats().tier_miss_steps, 0);
 }
@@ -130,14 +130,14 @@ fn spill_then_prefetch_matches_hand_computed_migration() {
     let wire_bytes = bytes + tlps * 24;
     let miss_ps = seconds_to_ps(wire_bytes as f64 / 32.0e9) + chunks * 400_000;
 
-    let demand = m.step_restore(0, 1.0, false, u64::MAX, &NoPrefetch);
-    assert_eq!(demand.miss_ps, miss_ps);
-    assert_eq!(demand.exposed_ps, miss_ps);
+    let (plan, exposed_ps) = m.step_restore(0, 1.0, false, u64::MAX, &NoPrefetch);
+    assert_eq!(plan.miss_ps(), miss_ps);
+    assert_eq!(exposed_ps, miss_ps);
 
     let spec = SpeculativePrefetch { accuracy: 0.9 };
-    let out = m.step_restore(0, 1.0, false, u64::MAX, &spec);
-    assert_eq!(out.miss_ps, miss_ps);
-    assert_eq!(out.exposed_ps, miss_ps - (miss_ps as f64 * 0.9) as u64);
+    let (plan, exposed_ps) = m.step_restore(0, 1.0, false, u64::MAX, &spec);
+    assert_eq!(plan.miss_ps(), miss_ps);
+    assert_eq!(exposed_ps, miss_ps - (miss_ps as f64 * 0.9) as u64);
     assert_eq!(m.stats().tier_miss_steps, 2);
     assert_eq!(m.stats().restored_bytes, 2 * bytes);
 }
@@ -148,9 +148,9 @@ fn narrow_window_bounds_what_prefetch_can_hide() {
     m.admit(0, GIB, 0);
     m.admit(1, GIB, 1); // spills 0 entirely
     let spec = SpeculativePrefetch { accuracy: 1.0 };
-    let full = m.step_restore(0, 1.0, false, 0, &spec).exposed_ps;
+    let (_, full) = m.step_restore(0, 1.0, false, 0, &spec);
     let window = full / 2;
-    let half = m.step_restore(0, 1.0, false, window, &spec).exposed_ps;
+    let (_, half) = m.step_restore(0, 1.0, false, window, &spec);
     assert_eq!(half, full - window, "only the window is hidden");
 }
 
@@ -159,8 +159,8 @@ fn selection_ratio_scales_the_restore() {
     let mut m = server_manager(GIB, 8 * GIB, 0);
     m.admit(0, GIB, 0);
     m.admit(1, GIB, 1);
-    let full = m.step_restore(0, 1.0, false, 0, &NoPrefetch).exposed_ps;
-    let tenth = m.step_restore(0, 0.1, false, 0, &NoPrefetch).exposed_ps;
+    let (_, full) = m.step_restore(0, 1.0, false, 0, &NoPrefetch);
+    let (_, tenth) = m.step_restore(0, 0.1, false, 0, &NoPrefetch);
     assert!(tenth < full / 5, "ratio 0.1 restore {tenth} vs full {full}");
     assert!(tenth > 0);
 }
@@ -257,15 +257,15 @@ fn plan_and_commit_reproduce_step_restore() {
     let spec = SpeculativePrefetch { accuracy: 0.9 };
     let window = 123_456_789u64;
     let mut serialized = mk();
-    let out = serialized.step_restore(0, 1.0, false, window, &spec);
+    let (committed, exposed_ps) = serialized.step_restore(0, 1.0, false, window, &spec);
     // The decomposed path: plan, apply the same window rule, commit.
     let mut decomposed = mk();
     let plan = decomposed.plan_restore(0, 1.0, false, &spec);
-    assert_eq!(plan.miss_ps(), out.miss_ps);
+    assert_eq!(plan, committed);
     assert!(plan.host_bytes > 0, "spill lives in host DRAM");
     assert_eq!(plan.ssd_bytes, 0);
     let hidden = ((plan.miss_ps() as f64 * plan.coverage) as u64).min(window);
-    assert_eq!(out.exposed_ps, plan.miss_ps() - hidden);
+    assert_eq!(exposed_ps, plan.miss_ps() - hidden);
     decomposed.commit_restore(&plan, hidden, plan.miss_ps() - hidden);
     assert_eq!(serialized.stats(), decomposed.stats());
     // A hit commits as a hit: fully device-resident stream.
@@ -329,20 +329,24 @@ fn cluster_restore_prices_only_the_mispredicted_tail() {
     let miss_ps = seconds_to_ps(wire as f64 / 32.0e9) + 400_000;
 
     let policy = ClusterPrefetch { accuracy: 0.9 };
-    let out = m.step_restore(0, 0.5, false, u64::MAX, &policy);
-    assert_eq!(out.miss_ps, miss_ps);
-    assert_eq!(out.exposed_ps, miss_ps, "demand fetch hides nothing");
-    assert_eq!(out.spec_bytes, 0);
-    assert_eq!(out.demand_bytes, bytes);
-    assert_eq!(out.spec_clusters, 0);
-    assert_eq!(out.demand_clusters, 1);
-    assert_eq!(out.mispredicted_clusters, 410);
+    let (plan, exposed_ps) = m.step_restore(0, 0.5, false, u64::MAX, &policy);
+    assert_eq!(plan.miss_ps(), miss_ps);
+    assert_eq!(exposed_ps, miss_ps, "demand fetch hides nothing");
+    assert_eq!(plan.spec_bytes, 0);
+    assert_eq!(plan.demand_bytes, bytes);
+    assert_eq!(plan.spec_clusters, 0);
+    assert_eq!(plan.demand_clusters, 1);
+    assert_eq!(plan.mispredicted_clusters, 410);
     assert_eq!(m.stats().restored_bytes, bytes);
 
     // The next step's misprediction rotation moves off rank 0, so
-    // the still-spilled cluster goes untouched: a tier hit.
-    let out = m.step_restore(0, 0.5, false, u64::MAX, &policy);
-    assert_eq!(out, RestoreOutcome::default());
+    // the still-spilled cluster goes untouched: a tier hit. Its plan
+    // still names the 410 mispredicted clusters; none is spilled, so
+    // it moves nothing and exposes nothing.
+    let (plan, exposed_ps) = m.step_restore(0, 0.5, false, u64::MAX, &policy);
+    assert_eq!((plan.miss_ps(), exposed_ps), (0, 0));
+    assert_eq!((plan.spec_bytes, plan.demand_bytes), (0, 0));
+    assert_eq!((plan.spec_clusters, plan.demand_clusters), (0, 0));
     assert_eq!(m.stats().tier_hit_steps, 1);
     assert_eq!(m.stats().tier_miss_steps, 1);
 }
@@ -434,14 +438,14 @@ fn flat_policies_on_a_cluster_manager_fall_back_to_byte_math() {
     let mut m = server_manager(GIB, 8 * GIB, 0).with_cluster_mode(MIGRATION_CHUNK_BYTES, 0.0);
     m.admit(0, GIB, 0);
     m.admit(1, GIB, 1); // spills 0 entirely
-    let out = m.step_restore(0, 1.0, false, 0, &NoPrefetch);
-    assert!(out.miss_ps > 0);
-    assert_eq!(out.exposed_ps, out.miss_ps);
+    let (plan, exposed_ps) = m.step_restore(0, 1.0, false, 0, &NoPrefetch);
+    assert!(plan.miss_ps() > 0);
+    assert_eq!(exposed_ps, plan.miss_ps());
     assert_eq!(
         (
-            out.spec_clusters,
-            out.demand_clusters,
-            out.mispredicted_clusters
+            plan.spec_clusters,
+            plan.demand_clusters,
+            plan.mispredicted_clusters
         ),
         (0, 0, 0),
         "flat plans carry no cluster telemetry"
@@ -454,7 +458,7 @@ fn untracked_streams_cost_nothing() {
     let mut m = server_manager(GIB, GIB, 0);
     assert_eq!(
         m.step_restore(99, 1.0, true, 0, &NoPrefetch),
-        RestoreOutcome::default()
+        (RestorePlan::default(), 0)
     );
     m.touch(99, 5);
     m.release(99);
@@ -481,7 +485,7 @@ fn was_ever_spilled_answers_for_tracked_streams_only() {
 }
 
 #[test]
-fn cluster_runs_merge_and_split_on_retier() {
+fn cluster_runs_merge_on_push_and_split_on_pop() {
     use MemTier::{Host, Ssd};
     let mut c = ClusterState::default();
     c.push(Host, 8, 5);
@@ -489,38 +493,16 @@ fn cluster_runs_merge_and_split_on_retier() {
     c.push(Ssd, 8, 3);
     c.push(Host, 4, 1); // a partial last cluster never merges
     assert_eq!(c.runs(), [(Host, 8, 7), (Ssd, 8, 3), (Host, 4, 1)]);
-    // Front of a run with no equal run before it: split.
-    c.retier_front(0, 2, Ssd);
-    assert_eq!(
-        c.runs(),
-        [(Ssd, 8, 2), (Host, 8, 5), (Ssd, 8, 3), (Host, 4, 1)]
-    );
-    // Front of a run: joins the previous run.
-    c.retier_front(1, 1, Ssd);
-    assert_eq!(
-        c.runs(),
-        [(Ssd, 8, 3), (Host, 8, 4), (Ssd, 8, 3), (Host, 4, 1)]
-    );
-    // A whole run: joins both neighbours.
-    c.retier_front(1, 4, Ssd);
-    assert_eq!(c.runs(), [(Ssd, 8, 10), (Host, 4, 1)]);
-    // A whole run whose neighbour differs in size: re-tiered in place.
-    c.retier_front(1, 1, Ssd);
-    assert_eq!(c.runs(), [(Ssd, 8, 10), (Ssd, 4, 1)]);
     // Promotion pops from the hottest run, whole or in part.
     c.pop(1);
-    c.pop(4);
-    assert_eq!(c.runs(), [(Ssd, 8, 6)]);
-    // A whole run joins the next run only, and the previous run only.
-    c.push(Host, 8, 2);
-    c.push(Ssd, 8, 1);
-    c.retier_front(1, 2, Ssd);
-    assert_eq!(c.runs(), [(Ssd, 8, 9)]);
-    let mut c = ClusterState::default();
-    c.push(Host, 8, 2);
-    c.push(Ssd, 8, 3);
-    c.retier_front(0, 2, Ssd);
-    assert_eq!(c.runs(), [(Ssd, 8, 5)]);
+    c.pop(2);
+    assert_eq!(c.runs(), [(Host, 8, 7), (Ssd, 8, 1)]);
+    // A push equal to the run a pop shortened rejoins it.
+    c.push(Ssd, 8, 4);
+    assert_eq!(c.runs(), [(Host, 8, 7), (Ssd, 8, 5)]);
+    c.pop(5);
+    c.pop(7);
+    assert_eq!(c.runs(), []);
 }
 
 #[test]
@@ -609,14 +591,6 @@ fn run_length_clusters_match_the_per_cluster_reference() {
                     4 => {
                         both!(release(id));
                         ids[slot] += SLOTS;
-                    }
-                    5 => {
-                        // The host budget shrinks under its contents:
-                        // the only way a lower tier goes over budget,
-                        // i.e. into the host→SSD cascade.
-                        real.caps.host_bytes = units / 2 * UNIT;
-                        reference.caps.host_bytes = units / 2 * UNIT;
-                        both!(grow(id, 0, now));
                     }
                     _ => {
                         let ratio = units as f64 / 12.0;

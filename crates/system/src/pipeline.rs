@@ -35,6 +35,14 @@ pub const RECENCY_BIAS: f64 = 0.35;
 /// paper reports 32 on COIN).
 pub const TOKENS_PER_CLUSTER: usize = 32;
 
+/// Share of the DPE's peak that V-Rex sustains on dense GEMMs
+/// (projections, FFN, prediction scoring, the vision tower).
+pub(crate) const DPE_DENSE_UTILIZATION: f64 = 0.8;
+
+/// Share of the DPE's peak that V-Rex sustains on attention over the
+/// selected context.
+const DPE_ATTENTION_UTILIZATION: f64 = 0.5;
+
 /// One inference step's workload parameters.
 #[derive(Debug, Clone)]
 pub struct Workload {
@@ -166,11 +174,11 @@ fn prediction_costs(
                 }
                 ComputeSpec::VRex(v) => {
                     // Hypothetical top-k on V-Rex: DPE scores + WTU scan.
-                    let score = v.core.dpe.op_ps(
-                        score_flops / v.n_cores as u64,
-                        0.8,
-                        b * key_bytes_per_layer / v.n_cores as u64,
-                        platform.dram.peak_bytes_per_s() / v.n_cores as f64,
+                    let score = v.dense_op_ps(
+                        score_flops,
+                        DPE_DENSE_UTILIZATION,
+                        b * key_bytes_per_layer,
+                        platform.dram.peak_bytes_per_s(),
                     );
                     let scan = v.core.wtu.selection_ps(s, s, s / 10);
                     (score + scan, b * key_bytes_per_layer)
@@ -189,11 +197,11 @@ fn prediction_costs(
                     b * centroid_bytes,
                 ),
                 ComputeSpec::VRex(v) => {
-                    let score = v.core.dpe.op_ps(
-                        score_flops / v.n_cores as u64,
-                        0.8,
-                        b * centroid_bytes / v.n_cores as u64,
-                        platform.dram.peak_bytes_per_s() / v.n_cores as f64,
+                    let score = v.dense_op_ps(
+                        score_flops,
+                        DPE_DENSE_UTILIZATION,
+                        b * centroid_bytes,
+                        platform.dram.peak_bytes_per_s(),
                     );
                     (
                         score + v.core.wtu.selection_ps(n_frames, n_frames, n_frames / 4),
@@ -232,11 +240,11 @@ fn prediction_costs(
                         scanned.div_ceil(cores),
                         (b * n * m.n_heads as u64 * 8).div_ceil(cores),
                     );
-                    let score = v.core.dpe.op_ps(
-                        score_flops / cores,
-                        0.8,
-                        b * cluster_bytes / cores,
-                        platform.dram.peak_bytes_per_s() / cores as f64,
+                    let score = v.dense_op_ps(
+                        score_flops,
+                        DPE_DENSE_UTILIZATION,
+                        b * cluster_bytes,
+                        platform.dram.peak_bytes_per_s(),
                     );
                     // Score runs on the LXE; HCU/WTU run beside it. The
                     // DRE part is hcu+wtu; score is charged to dense
@@ -269,21 +277,12 @@ fn fetch_costs(platform: &PlatformSpec, method: Method, w: &Workload) -> (u64, u
         profile.fetch_chunk_bytes
     };
     let pcie_ps = platform.pcie.transfer_ps(bytes, chunk);
+    // Fresh-device closed forms — the hot leaf of step pricing (no
+    // allocation, no row state).
     let source_ps = if let Some(ssd) = &platform.storage {
-        let mut ssd = vrex_hwsim::ssd::Ssd::new(ssd.clone());
-        if chunk >= 64 * 1024 {
-            ssd.read_contiguous(bytes)
-        } else {
-            ssd.read_scattered(bytes.div_ceil(chunk), chunk)
-        }
+        ssd.read_ps(bytes, chunk)
     } else if let Some(dram) = &platform.offload_dram {
-        if chunk >= 64 * 1024 {
-            // Fresh-device streaming read in closed form — the hot
-            // leaf of step pricing (no allocation, no row state).
-            dram.stream_read_ps(bytes)
-        } else {
-            vrex_hwsim::dram::Dram::new(dram.clone()).scattered_read(bytes.div_ceil(chunk), chunk)
-        }
+        dram.read_ps(bytes, chunk)
     } else {
         0
     };
@@ -312,21 +311,10 @@ pub fn layer_costs(platform: &PlatformSpec, method: Method, w: &Workload) -> Lay
             g.dense_op_ps(attn_flops, kv_read_bytes),
         ),
         ComputeSpec::VRex(v) => {
-            let cores = v.n_cores as u64;
             let bw = platform.dram.peak_bytes_per_s();
             (
-                v.core.dpe.op_ps(
-                    dense_flops / cores,
-                    0.8,
-                    weight_bytes / cores,
-                    bw / cores as f64,
-                ),
-                v.core.dpe.op_ps(
-                    attn_flops / cores,
-                    0.5,
-                    kv_read_bytes / cores,
-                    bw / cores as f64,
-                ),
+                v.dense_op_ps(dense_flops, DPE_DENSE_UTILIZATION, weight_bytes, bw),
+                v.dense_op_ps(attn_flops, DPE_ATTENTION_UTILIZATION, kv_read_bytes, bw),
             )
         }
     };
@@ -470,6 +458,73 @@ mod tests {
                 flex.layer_ps
             );
         }
+    }
+
+    /// Value-neutral pricing: every field of `layer_costs` over all 9
+    /// methods × the 4 Table I platforms × 4 step shapes × 3 cache
+    /// lengths, folded FNV-1a. The constant was captured from a build
+    /// of the commit before the leaf closed forms were deduplicated, so
+    /// a refactor of the pricing path that moves any picosecond, byte
+    /// or FLOP count fails here rather than only in a stdout diff.
+    #[test]
+    fn layer_costs_fingerprint_is_pinned() {
+        let m = llama();
+        let methods = [
+            Method::VanillaInMemory,
+            Method::FlexGen,
+            Method::InfiniGen,
+            Method::InfiniGenP,
+            Method::ReKV,
+            Method::ReSV,
+            Method::ReSVNoClustering,
+            Method::ReSVKvpuOnly,
+            Method::Oaken,
+        ];
+        let platforms = [
+            PlatformSpec::agx_orin(),
+            PlatformSpec::a100(),
+            PlatformSpec::vrex8(),
+            PlatformSpec::vrex48(),
+        ];
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut cells = 0usize;
+        for method in methods {
+            for platform in &platforms {
+                for cache in [1_000, 10_000, 40_000] {
+                    let question = Workload {
+                        new_tokens: 25,
+                        ..Workload::frame(&m, cache, 1)
+                    };
+                    let shapes = [
+                        Workload::frame(&m, cache, 1),
+                        Workload::frame(&m, cache, 4),
+                        question,
+                        Workload::decode(&m, cache, 1),
+                    ];
+                    for w in &shapes {
+                        let c = layer_costs(platform, method, w);
+                        for v in [
+                            c.dense_ps,
+                            c.attention_ps,
+                            c.prediction_ps,
+                            c.fetch_ps,
+                            c.layer_ps,
+                            c.fetch_bytes,
+                            c.dram_bytes,
+                            c.flops,
+                        ] {
+                            for b in v.to_le_bytes() {
+                                h ^= b as u64;
+                                h = h.wrapping_mul(0x100_0000_01b3);
+                            }
+                        }
+                        cells += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(cells, 9 * 4 * 4 * 3);
+        assert_eq!(h, 0xfc89_0512_956c_ceea, "layer_costs moved: {h:#018x}");
     }
 
     #[test]

@@ -158,19 +158,6 @@ impl PlatformSpec {
         self.storage = Some(SsdConfig::bg6_class());
         self
     }
-
-    /// Offload-path sustained source bandwidth (bytes/s): SSD peak for
-    /// storage offload, DDR4 peak for CPU-memory offload. The PCIe link
-    /// is modelled separately.
-    pub fn offload_source_bytes_per_s(&self) -> f64 {
-        if let Some(s) = &self.storage {
-            s.peak_bytes_per_s()
-        } else if let Some(d) = &self.offload_dram {
-            d.peak_bytes_per_s()
-        } else {
-            f64::INFINITY
-        }
-    }
 }
 
 /// Largest device count a [`DevicePool`] accepts. The headline sweep

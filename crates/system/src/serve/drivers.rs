@@ -90,15 +90,11 @@ impl Sched<'_> {
             let s = live(&self.slab, self.members[k]);
             let window_ps =
                 ((self.now - s.head_visible_ps()) + step.latency_ps).saturating_sub(link_busy_ps);
-            let restore =
+            let (plan, exposed_ps) =
                 mgr.step_restore(s.id, ratio, generation, window_ps, self.prefetch.as_ref());
-            link_busy_ps += restore.miss_ps;
-            penalty_ps += restore.exposed_ps;
-            self.counters.spec_clusters += restore.spec_clusters;
-            self.counters.demand_clusters += restore.demand_clusters;
-            self.counters.mispredicted_clusters += restore.mispredicted_clusters;
-            self.counters.spec_restore_bytes += restore.spec_bytes;
-            self.counters.demand_restore_bytes += restore.demand_bytes;
+            link_busy_ps += plan.miss_ps();
+            penalty_ps += exposed_ps;
+            self.counters.record_restore(&plan);
         }
         self.charge_exposed(penalty_ps);
         penalty_ps
@@ -157,15 +153,12 @@ impl Sched<'_> {
                     .schedule_after(lane, earliest, dur, &[], tag, m.bytes);
                 let start = res.engine.start_of(t);
                 for tier in [m.from, m.to] {
-                    match tier {
-                        MemTier::Host => {
-                            res.engine.reserve_after(res.host, start, dur, tag, m.bytes);
-                        }
-                        MemTier::Ssd => {
-                            res.engine.reserve_after(res.ssd, start, dur, tag, m.bytes);
-                        }
-                        MemTier::Device => {}
-                    }
+                    let channel = match tier {
+                        MemTier::Host => res.host,
+                        MemTier::Ssd => res.ssd,
+                        MemTier::Device => continue,
+                    };
+                    res.engine.reserve_after(channel, start, dur, tag, m.bytes);
                 }
                 // Restores of these bytes cannot begin before the demotion
                 // writeback lands below the device tier.
@@ -334,23 +327,14 @@ impl Sched<'_> {
                     // Mirror the source-channel legs for the
                     // bandwidth-timeline view (placed at the earliest
                     // fit from the restore's first link reservation).
-                    if plan.host_ps > 0 {
-                        res.engine.reserve_after(
-                            res.host,
-                            first_start,
-                            plan.host_ps,
-                            "restore",
-                            plan.host_bytes,
-                        );
-                    }
-                    if plan.ssd_ps > 0 {
-                        res.engine.reserve_after(
-                            res.ssd,
-                            first_start,
-                            plan.ssd_ps,
-                            "restore",
-                            plan.ssd_bytes,
-                        );
+                    for (source, ps, bytes) in [
+                        (res.host, plan.host_ps, plan.host_bytes),
+                        (res.ssd, plan.ssd_ps, plan.ssd_bytes),
+                    ] {
+                        if ps > 0 {
+                            res.engine
+                                .reserve_after(source, first_start, ps, "restore", bytes);
+                        }
                     }
                     *rslot = Some((plan, end));
                 }
@@ -396,11 +380,7 @@ impl Sched<'_> {
                 let (plan, end) = r;
                 let exposed = end.saturating_sub(horizon).min(plan.miss_ps());
                 mgr.commit_restore(plan, plan.miss_ps() - exposed, exposed);
-                self.counters.spec_clusters += plan.spec_clusters;
-                self.counters.demand_clusters += plan.demand_clusters;
-                self.counters.mispredicted_clusters += plan.mispredicted_clusters;
-                self.counters.spec_restore_bytes += plan.spec_bytes;
-                self.counters.demand_restore_bytes += plan.demand_bytes;
+                self.counters.record_restore(plan);
             }
         }
         // The slowest exposed restore stretches every member.

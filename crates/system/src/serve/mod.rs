@@ -379,28 +379,26 @@ pub(crate) fn run(
     assert!(cfg.fps > 0.0, "fps must be positive");
     let sys = prices.system().clone();
     let model = prices.model().clone();
-    // Tiered admission: track fleet residency across the hierarchy and
-    // the prefetch policy that schedules restores.
-    let tiers: Option<TieredKvManager> = match cfg.admission {
-        AdmissionPolicy::RejectOnly => None,
+    // Tiered admission: the manager tracking fleet residency across
+    // the hierarchy and the prefetch policy scheduling its restores,
+    // decided together — cluster tracking on the manager goes with the
+    // cluster-granular policy and with nothing else.
+    let (tiers, prefetch): (Option<TieredKvManager>, Box<dyn PrefetchPolicy>) = match cfg.admission
+    {
+        AdmissionPolicy::RejectOnly => (None, Box::new(NoPrefetch)),
         AdmissionPolicy::Tiered { prefetch } => {
-            let mgr = TieredKvManager::for_system(&sys, &model);
-            Some(if prefetch.is_cluster() {
+            let mut mgr = TieredKvManager::for_system(&sys, &model);
+            if prefetch.is_cluster() {
                 // Cluster-granular cold-data movement: clusters are the
                 // method's contiguous fetch chunk, and the WiCSum-hot
                 // prefix protected from first-pass spill is the
                 // prefill-stage selection ratio (the share of clusters
                 // a frame step actually touches).
                 let profile = sys.method.profile();
-                mgr.with_cluster_mode(profile.fetch_chunk_bytes, sys.method.ratio(false))
-            } else {
-                mgr
-            })
+                mgr = mgr.with_cluster_mode(profile.fetch_chunk_bytes, sys.method.ratio(false));
+            }
+            (Some(mgr), prefetch.policy())
         }
-    };
-    let prefetch: Box<dyn PrefetchPolicy> = match cfg.admission {
-        AdmissionPolicy::Tiered { prefetch } => prefetch.policy(),
-        AdmissionPolicy::RejectOnly => Box::new(NoPrefetch),
     };
     let max_wait_ps = seconds_to_ps(cfg.max_wait_s);
     let frame_interval_ps = seconds_to_ps(1.0 / cfg.fps);

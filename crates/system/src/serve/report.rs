@@ -7,6 +7,7 @@ use vrex_workload::traffic::SessionPlan;
 
 use super::stream::Stream;
 use super::Sched;
+use crate::memory::RestorePlan;
 use crate::queueing::percentile_sorted;
 
 /// Why a session ended up where it did.
@@ -195,6 +196,20 @@ impl ServeCounters {
             + self.patience_events
             + self.work_ready_events
             + self.step_complete_events
+    }
+
+    /// Folds one committed restore into the cluster-prefetch counters.
+    /// They count tier-miss steps only: a plan that moves nothing adds
+    /// nothing, its mispredicted clusters included.
+    pub(super) fn record_restore(&mut self, plan: &RestorePlan) {
+        if plan.miss_ps() == 0 {
+            return;
+        }
+        self.spec_clusters += plan.spec_clusters;
+        self.demand_clusters += plan.demand_clusters;
+        self.mispredicted_clusters += plan.mispredicted_clusters;
+        self.spec_restore_bytes += plan.spec_bytes;
+        self.demand_restore_bytes += plan.demand_bytes;
     }
 }
 

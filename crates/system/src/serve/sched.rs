@@ -167,10 +167,13 @@ impl Sched<'_> {
                         self.active_count + 1,
                     ),
                 ),
-                Some(mgr) => (
-                    demand > mgr.total_capacity_bytes(),
-                    self.fleet_demand_bytes + demand <= mgr.total_capacity_bytes(),
-                ),
+                Some(mgr) => {
+                    let capacity = mgr.capacities().total_bytes();
+                    (
+                        demand > capacity,
+                        self.fleet_demand_bytes + demand <= capacity,
+                    )
+                }
             };
             if never_fits {
                 // Will never fit, even alone: reject outright.

@@ -665,84 +665,109 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Cluster-granular residency conservation over random
-    /// admit / grow / touch / release traces: every session's spilled
-    /// bytes equal the sum of its spilled clusters' bytes, the spilled
-    /// set is a contiguous coldness-rank prefix with each rank mapped
-    /// to exactly one tier (no cluster lives in two tiers), and the
-    /// fleet-wide per-tier totals agree with the per-session scan.
+    /// Residency conservation over random admit / grow / touch /
+    /// release traces, on the two-tier V-Rex48, with an NVMe tier under
+    /// it, and with both lower tiers squeezed until they fill, for a
+    /// cluster-granular and a flat manager: no tier
+    /// below the device ever exceeds its budget (every demotion is
+    /// bounded by its destination's room — the manager has no path that
+    /// repairs a lower tier), and the fleet-wide per-tier totals agree
+    /// with the per-session scan. In cluster mode every session's
+    /// spilled bytes also equal the sum of its spilled clusters' bytes,
+    /// and the spilled set is a contiguous coldness-rank prefix with
+    /// each rank mapped to exactly one tier (no cluster lives in two
+    /// tiers).
     #[test]
     fn cluster_spill_conserves_bytes_and_ranks(
         ops in proptest::collection::vec((0usize..4, 0usize..6, 1u64..5), 1..48),
         cluster_div in 4u64..64,
         ratio in 0.0f64..1.0,
     ) {
-        let sys = SystemModel::new(PlatformSpec::vrex48(), Method::ReSV);
+        use vrex_hwsim::tier::MemTier;
         let model = ModelConfig::llama3_8b();
-        let caps = TieredKvManager::for_system(&sys, &model).capacities();
-        // Clusters sized as a fraction of the device budget so a few
-        // admits overflow it, exercising both spill passes.
-        let cluster_bytes = (caps.device_bytes / cluster_div).max(1);
-        let mut mgr = TieredKvManager::for_system(&sys, &model)
-            .with_cluster_mode(cluster_bytes, ratio);
-        let mut live: Vec<usize> = Vec::new();
-        let mut now_ps = 0u64;
-        for (op, id, units) in ops {
-            now_ps += 1_000;
-            match op {
-                0 => {
-                    mgr.admit(id, units * cluster_bytes, now_ps);
-                    if !live.contains(&id) {
-                        live.push(id);
+        // The third platform squeezes host DRAM and the drive to a few
+        // clusters each, so traces fill them and run the hierarchy out.
+        let mut squeezed = PlatformSpec::vrex48().with_nvme_tier();
+        squeezed.host_mem_capacity = 3 << 30;
+        squeezed.storage.as_mut().expect("nvme tier").capacity_bytes = 5 << 30;
+        let platforms = [PlatformSpec::vrex48(), PlatformSpec::vrex48().with_nvme_tier(), squeezed];
+        for (platform, cluster_mode) in platforms.into_iter().flat_map(|p| [(p.clone(), true), (p, false)]) {
+            let sys = SystemModel::new(platform, Method::ReSV);
+            let mut mgr = TieredKvManager::for_system(&sys, &model);
+            let caps = mgr.capacities();
+            // Clusters sized as a fraction of the device budget so a few
+            // admits overflow it, exercising both spill passes.
+            let cluster_bytes = (caps.device_bytes / cluster_div).max(1);
+            if cluster_mode {
+                mgr = mgr.with_cluster_mode(cluster_bytes, ratio);
+            }
+            let mut live: Vec<usize> = Vec::new();
+            let mut now_ps = 0u64;
+            for &(op, id, units) in &ops {
+                now_ps += 1_000;
+                match op {
+                    0 => {
+                        mgr.admit(id, units * cluster_bytes, now_ps);
+                        if !live.contains(&id) {
+                            live.push(id);
+                        }
+                    }
+                    1 => mgr.grow(id, units * (cluster_bytes / 2).max(1), now_ps),
+                    2 => mgr.touch(id, now_ps),
+                    _ => {
+                        mgr.release(id);
+                        live.retain(|&s| s != id);
                     }
                 }
-                1 => mgr.grow(id, units * (cluster_bytes / 2).max(1), now_ps),
-                2 => mgr.touch(id, now_ps),
-                _ => {
-                    mgr.release(id);
-                    live.retain(|&s| s != id);
+                // Migrations are decisions for the scheduler; drain them so
+                // the queue does not grow unboundedly in this test.
+                mgr.drain_migrations_into(&mut Vec::new());
+                let mut host_total = 0u64;
+                let mut ssd_total = 0u64;
+                for &s in &live {
+                    let r = *mgr.residency(s).expect("live session is tracked");
+                    host_total += r.host_bytes;
+                    ssd_total += r.ssd_bytes;
+                    if !cluster_mode {
+                        continue;
+                    }
+                    let clusters = mgr.spilled_clusters(s);
+                    let cluster_sum: u64 = clusters.iter().map(|&(_, _, b)| b).sum();
+                    prop_assert_eq!(
+                        r.spilled_bytes(),
+                        cluster_sum,
+                        "session {}: residency says {} spilled bytes, clusters sum to {}",
+                        s,
+                        r.spilled_bytes(),
+                        cluster_sum
+                    );
+                    // The spilled set is the contiguous coldness prefix
+                    // [0, k): ranks ascend from 0 with no gaps, and each
+                    // rank appears exactly once (one tier per cluster).
+                    for (i, &(rank, _, bytes)) in clusters.iter().enumerate() {
+                        prop_assert_eq!(rank, i as u64, "session {}: rank gap in spilled set", s);
+                        prop_assert!(bytes > 0, "session {}: zero-byte spilled cluster", s);
+                    }
+                    let per_tier: u64 = clusters
+                        .iter()
+                        .filter(|&&(_, t, _)| t == MemTier::Host)
+                        .map(|&(_, _, b)| b)
+                        .sum();
+                    prop_assert_eq!(
+                        per_tier, r.host_bytes,
+                        "session {}: host-tier cluster bytes disagree with residency", s
+                    );
                 }
-            }
-            // Migrations are decisions for the scheduler; drain them so
-            // the queue does not grow unboundedly in this test.
-            mgr.drain_migrations_into(&mut Vec::new());
-            let mut host_total = 0u64;
-            let mut ssd_total = 0u64;
-            for &s in &live {
-                let r = *mgr.residency(s).expect("live session is tracked");
-                host_total += r.host_bytes;
-                ssd_total += r.ssd_bytes;
-                let clusters = mgr.spilled_clusters(s);
-                let cluster_sum: u64 = clusters.iter().map(|&(_, _, b)| b).sum();
-                prop_assert_eq!(
-                    r.spilled_bytes(),
-                    cluster_sum,
-                    "session {}: residency says {} spilled bytes, clusters sum to {}",
-                    s,
-                    r.spilled_bytes(),
-                    cluster_sum
-                );
-                // The spilled set is the contiguous coldness prefix
-                // [0, k): ranks ascend from 0 with no gaps, and each
-                // rank appears exactly once (one tier per cluster).
-                for (i, &(rank, _, bytes)) in clusters.iter().enumerate() {
-                    prop_assert_eq!(rank, i as u64, "session {}: rank gap in spilled set", s);
-                    prop_assert!(bytes > 0, "session {}: zero-byte spilled cluster", s);
-                }
-                let per_tier: u64 = clusters
-                    .iter()
-                    .filter(|&&(_, t, _)| t == vrex_hwsim::tier::MemTier::Host)
-                    .map(|&(_, _, b)| b)
-                    .sum();
-                prop_assert_eq!(
-                    per_tier, r.host_bytes,
-                    "session {}: host-tier cluster bytes disagree with residency", s
+                // Fleet-wide totals (the accessor debug-asserts the cached
+                // counters against a full fleet scan internally).
+                prop_assert_eq!(mgr.used_bytes(MemTier::Host), host_total);
+                prop_assert_eq!(mgr.used_bytes(MemTier::Ssd), ssd_total);
+                prop_assert!(
+                    host_total <= caps.host_bytes && ssd_total <= caps.ssd_bytes,
+                    "a lower tier is over budget: host {} / {}, ssd {} / {} (cluster mode: {})",
+                    host_total, caps.host_bytes, ssd_total, caps.ssd_bytes, cluster_mode
                 );
             }
-            // Fleet-wide totals (the accessor debug-asserts the cached
-            // counters against a full fleet scan internally).
-            prop_assert_eq!(mgr.used_bytes(vrex_hwsim::tier::MemTier::Host), host_total);
-            prop_assert_eq!(mgr.used_bytes(vrex_hwsim::tier::MemTier::Ssd), ssd_total);
         }
     }
 

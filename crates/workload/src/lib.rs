@@ -4,7 +4,7 @@
 //!
 //! The paper evaluates on five COIN instructional-video tasks with
 //! VideoLLM-Online. The dataset is not available here, so this crate
-//! provides (DESIGN.md §1):
+//! provides (ARCHITECTURE.md, "Crate DAG"):
 //!
 //! * [`coin`] — the five task profiles with the paper's baseline Top-1
 //!   accuracies and workload statistics (the paper's "average working

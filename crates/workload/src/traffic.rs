@@ -67,10 +67,12 @@ impl TrafficConfig {
         while let Some(p) = stream.next_plan() {
             plans.push(p);
         }
-        // Arrivals are nondecreasing by construction (each session's
-        // jitter stays inside its own slot), so the historical
-        // stable sort is a no-op kept for its documentation value.
-        plans.sort_by_key(|p| p.arrival_ps);
+        // The `PlanSource` contract the serving layer relies on: each
+        // session's jitter stays inside its own slot.
+        debug_assert!(
+            plans.windows(2).all(|w| w[0].arrival_ps <= w[1].arrival_ps),
+            "arrivals must be nondecreasing"
+        );
         plans
     }
 
