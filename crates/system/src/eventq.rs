@@ -53,6 +53,7 @@
 //! golden-trace fingerprints across both.
 
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 /// An item with a picosecond timestamp — the key the wheel routes by.
@@ -256,6 +257,20 @@ impl<T: Ord + TimeKeyed> TimerWheel<T> {
         }
         self.current.peek().map(|Reverse(x)| x.time_ps())
     }
+
+    /// Removes and returns the minimum item if it is due at or before
+    /// `now`; otherwise leaves the wheel's contents unchanged.
+    pub fn pop_due(&mut self, now: u64) -> Option<T> {
+        if !self.advance() {
+            return None;
+        }
+        let head = self.current.peek_mut()?;
+        if head.0.time_ps() > now {
+            return None;
+        }
+        self.len -= 1;
+        Some(PeekMut::pop(head).0)
+    }
 }
 
 /// A min-queue over `T`'s total order, dispatching to the
@@ -302,6 +317,21 @@ impl<T: Ord + TimeKeyed> EventQueue<T> {
         match self {
             EventQueue::Heap(h) => h.peek().map(|Reverse(x)| x.time_ps()),
             EventQueue::Wheel(w) => w.peek_ps(),
+        }
+    }
+
+    /// Removes and returns the minimum item if it is due at or before
+    /// `now` (one call in place of peek-then-pop).
+    pub fn pop_due(&mut self, now: u64) -> Option<T> {
+        match self {
+            EventQueue::Heap(h) => {
+                let head = h.peek_mut()?;
+                if head.0.time_ps() > now {
+                    return None;
+                }
+                Some(PeekMut::pop(head).0)
+            }
+            EventQueue::Wheel(w) => w.pop_due(now),
         }
     }
 
@@ -477,6 +507,31 @@ mod tests {
                     break;
                 }
             }
+        }
+    }
+
+    #[test]
+    fn pop_due_pops_only_items_at_or_before_now() {
+        let horizon = 1u64 << (BASE_SHIFT + SLOT_BITS * LEVELS as u32);
+        for kind in [QueueKind::Heap, QueueKind::Wheel] {
+            let mut q = EventQueue::new(kind, 4);
+            assert_eq!(q.pop_due(u64::MAX), None, "{kind:?}: empty queue");
+            for x in [item(10, 1), item(5, 0), item(10, 0), item(1 << 40, 0)] {
+                q.push(x);
+            }
+            q.push(item(horizon + 3, 0));
+            assert_eq!(q.pop_due(4), None, "{kind:?}: nothing due before 5");
+            assert_eq!(q.len(), 5);
+            assert_eq!(q.pop_due(10), Some(item(5, 0)));
+            assert_eq!(q.pop_due(10), Some(item(10, 0)));
+            assert_eq!(q.pop_due(10), Some(item(10, 1)));
+            assert_eq!(q.pop_due(10), None, "{kind:?}: 2^40 is not due at 10");
+            assert_eq!(q.len(), 2);
+            assert_eq!(q.peek_ps(), Some(1 << 40));
+            assert_eq!(q.pop_due(horizon + 3), Some(item(1 << 40, 0)));
+            assert_eq!(q.pop_due(horizon + 2), None, "{kind:?}: overflow item");
+            assert_eq!(q.pop_due(horizon + 3), Some(item(horizon + 3, 0)));
+            assert!(q.is_empty());
         }
     }
 

@@ -14,7 +14,7 @@
 //! convert to `f64` seconds only at the reporting boundary, so no lag
 //! or deadline is ever decided by float rounding.
 
-use vrex_hwsim::ps_to_seconds;
+use vrex_hwsim::{ps_to_seconds, PS_PER_SECOND};
 
 /// Arrival/completion ledger for one FIFO stream of work items.
 ///
@@ -32,6 +32,16 @@ impl QueueLedger {
     /// Creates an empty ledger.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty ledger with room for `items` records, for callers that
+    /// know their item count up front (no regrowth while recording).
+    pub fn with_capacity(items: usize) -> Self {
+        QueueLedger {
+            arrivals_ps: Vec::with_capacity(items),
+            completions_ps: Vec::with_capacity(items),
+            max_queue_depth: 0,
+        }
     }
 
     /// Records one item's arrival and completion times (ps).
@@ -67,12 +77,10 @@ impl QueueLedger {
         self.arrivals_ps.len()
     }
 
-    /// Number of items completed at or before `deadline_ps`.
+    /// Number of items completed at or before `deadline_ps` (a binary
+    /// search: completions are sorted by `record`'s contract).
     pub fn completed_by(&self, deadline_ps: u64) -> usize {
-        self.completions_ps
-            .iter()
-            .filter(|&&c| c <= deadline_ps)
-            .count()
+        self.completions_ps.partition_point(|&c| c <= deadline_ps)
     }
 
     /// Maximum queue depth observed (sampled at arrival instants).
@@ -93,9 +101,12 @@ impl QueueLedger {
         self.lags_ps().map(ps_to_seconds)
     }
 
-    /// Mean lag in seconds (0 for an empty ledger).
+    /// Mean lag in seconds (0 for an empty ledger). The sum is taken in
+    /// `u128`, so no count of `u64` lags can overflow it; below 2⁶⁴ ps
+    /// the result is the same `f64` a `u64` sum would give.
     pub fn mean_lag_s(&self) -> f64 {
-        ps_to_seconds(self.lags_ps().sum::<u64>()) / self.offered().max(1) as f64
+        let total_ps: u128 = self.lags_ps().map(u128::from).sum();
+        total_ps as f64 / PS_PER_SECOND as f64 / self.offered().max(1) as f64
     }
 
     /// Worst lag in ps (0 for an empty ledger).
@@ -109,8 +120,9 @@ impl QueueLedger {
     }
 
     /// Completion time of the last item in ps (0 for an empty ledger).
+    /// Completions are non-decreasing, so the last is the latest.
     pub fn last_completion_ps(&self) -> u64 {
-        self.completions_ps.iter().copied().max().unwrap_or(0)
+        self.completions_ps.last().copied().unwrap_or(0)
     }
 
     /// Completion time of the last item in seconds (0 when empty).
@@ -160,14 +172,44 @@ pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+    sorted[nearest_rank(sorted.len(), p)]
+}
+
+/// The 0-based nearest-rank index of percentile `p` among `n > 0`
+/// ascending samples: `clamp(ceil(p/100 · n), 1, n) − 1`.
+fn nearest_rank(n: usize, p: f64) -> usize {
+    (((p / 100.0) * n as f64).ceil() as usize).clamp(1, n) - 1
+}
+
+/// Nearest-rank percentiles `lo ≤ hi` of `samples`, by selection
+/// instead of a sort: `hi`'s rank is selected over the whole slice,
+/// then `lo`'s inside the partition left of it. O(n) expected, and
+/// `samples` is left partially reordered. Under [`f64::total_cmp`]
+/// the k-th smallest element is unique to the bit, so each result is
+/// bit-identical to [`percentile_sorted`] over the sorted samples.
+/// Returns `(0, 0)` for an empty slice.
+pub(crate) fn percentile_pair(samples: &mut [f64], lo: f64, hi: f64) -> (f64, f64) {
+    debug_assert!(lo <= hi, "percentiles out of order");
+    if samples.is_empty() {
+        return (0.0, 0.0);
+    }
+    let (k_lo, k_hi) = (
+        nearest_rank(samples.len(), lo),
+        nearest_rank(samples.len(), hi),
+    );
+    let (left, &mut at_hi, _) = samples.select_nth_unstable_by(k_hi, f64::total_cmp);
+    let at_lo = if k_lo == k_hi {
+        at_hi
+    } else {
+        *left.select_nth_unstable_by(k_lo, f64::total_cmp).1
+    };
+    (at_lo, at_hi)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vrex_hwsim::PS_PER_SECOND;
+    use proptest::prelude::*;
 
     const S: u64 = PS_PER_SECOND;
 
@@ -225,5 +267,74 @@ mod tests {
         assert_eq!(percentile(&s, 99.0), 4.0);
         assert_eq!(percentile(&s, 0.0), 1.0);
         assert_eq!(percentile(&[], 50.0), 0.0);
+    }
+
+    #[test]
+    fn mean_lag_does_not_overflow_u64() {
+        // Two lags of 2⁶³ ps sum to 2⁶⁴, one past `u64::MAX`.
+        let mut l = QueueLedger::new();
+        l.record(0, 1 << 63);
+        l.record(0, 1 << 63);
+        assert_eq!(l.mean_lag_s(), ps_to_seconds(1 << 63));
+        assert_eq!(l.completed_by(1 << 63), 2);
+        assert_eq!(l.completed_by((1 << 63) - 1), 0);
+        assert_eq!(l.last_completion_ps(), 1 << 63);
+    }
+
+    #[test]
+    fn presized_ledger_records_like_a_grown_one() {
+        let l = run_fifo((0..7).map(|i| i * S / 3), |i| S / 5 + i as u64 * 17);
+        let mut sized = QueueLedger::with_capacity(7);
+        assert_eq!(sized, QueueLedger::new());
+        for (a, lag) in (0..7).map(|i| i * S / 3).zip(l.lags_ps()) {
+            sized.record(a, a + lag);
+        }
+        assert_eq!(sized, l);
+    }
+
+    /// Selection at n ∈ {0, 1, 2}, and where both ranks coincide.
+    #[test]
+    fn percentile_pair_edges() {
+        assert_eq!(percentile_pair(&mut [], 50.0, 99.0), (0.0, 0.0));
+        assert_eq!(percentile_pair(&mut [7.0], 50.0, 99.0), (7.0, 7.0));
+        assert_eq!(percentile_pair(&mut [9.0, 7.0], 50.0, 99.0), (7.0, 9.0));
+        assert_eq!(
+            percentile_pair(&mut [9.0, 7.0, 8.0], 90.0, 99.0),
+            (9.0, 9.0)
+        );
+        assert_eq!(
+            percentile_pair(&mut [2.0, 2.0, 1.0], 50.0, 99.0),
+            (2.0, 2.0)
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The fleet aggregation's percentile pair by selection equals
+        /// `percentile_sorted` over the sorted concatenation of many
+        /// short per-session sample vectors, bit for bit (small values
+        /// force duplicates, a few full-range ones spread the tail).
+        #[test]
+        fn percentile_pair_matches_sorted_percentiles(
+            sessions in proptest::collection::vec(proptest::collection::vec(0u64..6, 0..4), 0..40),
+            wide in proptest::collection::vec(any::<u64>(), 0..3),
+            p in (0.0f64..100.0, 0.0f64..100.0),
+        ) {
+            let samples: Vec<f64> = sessions
+                .iter()
+                .flatten()
+                .chain(&wide)
+                .map(|&ps| ps_to_seconds(ps))
+                .collect();
+            let mut sorted = samples.clone();
+            sorted.sort_unstable_by(f64::total_cmp);
+            let (lo, hi) = (p.0.min(p.1), p.0.max(p.1));
+            for (lo, hi) in [(50.0, 99.0), (lo, hi), (lo, lo)] {
+                let (a, b) = percentile_pair(&mut samples.clone(), lo, hi);
+                prop_assert_eq!(a.to_bits(), percentile_sorted(&sorted, lo).to_bits());
+                prop_assert_eq!(b.to_bits(), percentile_sorted(&sorted, hi).to_bits());
+            }
+        }
     }
 }

@@ -28,24 +28,31 @@ impl Sched<'_> {
         if s.ready || s.in_flight {
             return;
         }
-        if let Some((avail, k)) = s.head() {
-            if avail <= now {
-                let seq = s.seq;
-                live_mut(&mut self.slab, slot).ready = true;
-                self.ready[k as usize].insert((seq, slot));
-            }
-        }
+        let class = s.ready_class(now);
+        self.refile(slot, None, class);
     }
 
     /// Removes `slot` from the ready set (no-op if absent).
     pub(super) fn unmark_ready(&mut self, slot: usize) {
-        let s = live(&self.slab, slot);
-        if s.ready {
-            // vrex-lint: allow(panicking-seam) — the ready flag implies a head item; that is the ready-set invariant checked by check_ready_invariant.
-            let (_, k) = s.head().expect("ready stream has a head");
-            let seq = s.seq;
-            live_mut(&mut self.slab, slot).ready = false;
-            self.ready[k as usize].remove(&(seq, slot));
+        let filed = live(&self.slab, slot).filed_class();
+        self.refile(slot, filed, None);
+    }
+
+    /// Moves `slot` from the ready set of class `from` to that of `to`
+    /// (`None`: in no set) and sets its `ready` flag to match. Equal
+    /// classes leave the sets and the flag untouched.
+    fn refile(&mut self, slot: usize, from: Option<Kind>, to: Option<Kind>) {
+        if from == to {
+            return;
+        }
+        let s = live_mut(&mut self.slab, slot);
+        s.ready = to.is_some();
+        let key = (s.seq, slot);
+        if let Some(kind) = from {
+            self.ready[kind as usize].remove(&key);
+        }
+        if let Some(kind) = to {
+            self.ready[kind as usize].insert(key);
         }
     }
 
@@ -318,10 +325,10 @@ impl Sched<'_> {
         let tiered = self.tiers.is_some();
         for k in 0..self.members.len() {
             let slot = self.members[k];
-            // The head is consumed: leave the ready set (serialized
-            // members are still flagged; overlapped members left it at
-            // formation) and clear the in-flight mark.
-            self.unmark_ready(slot);
+            // The class the member is filed under before its head is
+            // consumed: serialized members are still filed, overlapped
+            // members left their set at launch.
+            let filed = live(&self.slab, slot).filed_class();
             live_mut(&mut self.slab, slot).in_flight = false;
             let demand_before = if tiered {
                 self.sys
@@ -352,12 +359,12 @@ impl Sched<'_> {
             }
             s.last_completion_ps = completion;
             let id = s.id;
+            let ready_now = s.ready_class(completion);
             // The next item is now the head; if it only becomes
             // available after this batch's completion pass, register
             // its wake-up (otherwise the pass at `completion` already
             // sees it ready).
-            let next_avail = s.head().map(|(avail, _)| avail);
-            if let Some(avail) = next_avail {
+            if let Some((avail, _)) = s.head() {
                 if avail > completion {
                     self.push_event(Event {
                         ps: avail,
@@ -365,7 +372,9 @@ impl Sched<'_> {
                     });
                 }
             }
-            self.mark_ready(slot, completion);
+            // Re-file only if the ready state changed: a decoding member
+            // whose next token is ready stays under the same key.
+            self.refile(slot, filed, ready_now);
             if tiered {
                 let growth = self
                     .sys

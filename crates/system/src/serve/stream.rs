@@ -114,11 +114,26 @@ impl Stream {
         frame_interval_ps: u64,
         now: u64,
     ) -> Self {
+        // Every buffer is sized once from the plan: one work item per
+        // frame, question and answer token; one frame-ledger record per
+        // frame; one TTFT sample per answer and one TPOT sample per
+        // answer token after its first.
+        let (mut frames, mut questions, mut answers, mut later_tokens) = (0, 0, 0, 0);
+        for e in &plan.events {
+            match e {
+                SessionEvent::Frame => frames += 1,
+                SessionEvent::Question { .. } => questions += 1,
+                SessionEvent::Answer { tokens } => {
+                    answers += usize::from(*tokens > 0);
+                    later_tokens += tokens.saturating_sub(1);
+                }
+            }
+        }
         // The camera starts when the session is admitted: a queued
         // session is not yet streaming, so its frame clock begins at
         // admission, not at arrival.
         let mut clock = now;
-        let mut items = VecDeque::new();
+        let mut items = VecDeque::with_capacity(frames + questions + answers + later_tokens);
         for e in &plan.events {
             match e {
                 SessionEvent::Frame => {
@@ -146,9 +161,9 @@ impl Stream {
             last_completion_ps: now,
             waited_ps: now - plan.arrival_ps,
             memory_waited: false,
-            frames: QueueLedger::new(),
-            ttft_ps: Vec::new(),
-            tpot_ps: Vec::new(),
+            frames: QueueLedger::with_capacity(frames),
+            ttft_ps: Vec::with_capacity(answers),
+            tpot_ps: Vec::with_capacity(later_tokens),
             question_asked_ps: now,
             last_token_completion_ps: now,
             spilled: false,
@@ -169,6 +184,20 @@ impl Stream {
             Work::Question { avail_ps, .. } => (*avail_ps, Kind::Question),
             Work::Decode { .. } => (0, Kind::Decode),
         })
+    }
+
+    /// The ready set this stream is filed under: its head's class while
+    /// the `ready` flag is set, `None` otherwise.
+    pub(super) fn filed_class(&self) -> Option<Kind> {
+        self.head().filter(|_| self.ready).map(|(_, kind)| kind)
+    }
+
+    /// The ready set this stream belongs in at `now` if it is not in
+    /// flight: its head's class once the head is available.
+    pub(super) fn ready_class(&self, now: u64) -> Option<Kind> {
+        self.head()
+            .filter(|&(avail, _)| avail <= now)
+            .map(|(_, kind)| kind)
     }
 
     /// When a batch member's head item became visible to the scheduler:
@@ -272,9 +301,7 @@ impl Sched<'_> {
     /// carry no state of their own (the admission pass re-derives
     /// everything from `now`), so they simply drain.
     pub(super) fn drain_past_events(&mut self) {
-        while self.events.peek_ps().is_some_and(|ps| ps <= self.now) {
-            // vrex-lint: allow(panicking-seam) — pop follows the successful peek in the same loop iteration; the queue cannot empty in between.
-            let e = self.events.pop().expect("peeked event exists");
+        while let Some(e) = self.events.pop_due(self.now) {
             self.count_event(&e.kind);
             match e.kind {
                 EventKind::Arrival(_) => self.plan_arrived(),

@@ -7,6 +7,7 @@ use crate::platform::PlatformSpec;
 use vrex_hwsim::engine::Engine;
 use vrex_hwsim::tier::MemTier;
 use vrex_workload::traffic::TrafficConfig;
+use vrex_workload::SessionEvent;
 
 fn llama() -> ModelConfig {
     ModelConfig::llama3_8b()
@@ -672,6 +673,81 @@ fn overlap_trace_is_weakly_monotone_and_total() {
     }
     assert!(trace.iter().any(|e| e.kind == TraceKind::StepComplete));
     assert!(trace.iter().any(|e| e.kind == TraceKind::Arrival));
+}
+
+/// A decode-heavy fleet — answers eight times the usual length, one
+/// single-token answer, 2 FPS cameras — under reject-only and tiered
+/// admission on both drivers. Most batch members are decodes whose
+/// next token is ready at the batch's completion, so they stay filed
+/// under the same ready-set key while frames and questions move in and
+/// out of the sets (and, overlapped, in and out of flight); debug
+/// builds check the sets against the full rescan on every pass. Every
+/// admitted session must still complete exactly its plan's samples.
+#[test]
+fn decode_heavy_fleet_keeps_ready_sets_and_samples_exact() {
+    let model = llama();
+    let mut plans = fleet(8, 2, 4.0, 31);
+    for e in plans.iter_mut().flat_map(|p| p.events.iter_mut()) {
+        if let SessionEvent::Answer { tokens } = e {
+            *tokens *= 8;
+        }
+    }
+    if let Some(SessionEvent::Answer { tokens }) = plans[0]
+        .events
+        .iter_mut()
+        .find(|e| matches!(e, SessionEvent::Answer { .. }))
+    {
+        *tokens = 1;
+    }
+    let cases = [
+        (
+            SystemModel::new(PlatformSpec::vrex48(), Method::ReSV),
+            ServeConfig::real_time(8_000),
+        ),
+        (
+            SystemModel::new(PlatformSpec::agx_orin(), Method::VanillaInMemory),
+            ServeConfig::real_time_tiered(30_000),
+        ),
+    ];
+    for (sys, cfg) in &cases {
+        for overlap in [false, true] {
+            let cfg = cfg.with_overlap(overlap);
+            let r = serve(sys, &model, &plans, &cfg);
+            assert_eq!(r, serve(sys, &model, &plans, &cfg), "deterministic");
+            assert_eq!(r.admitted + r.rejected, r.offered);
+            assert!(r.admitted > 0, "{:?}: someone is served", cfg.admission);
+            for s in r
+                .sessions
+                .iter()
+                .filter(|s| s.outcome != SessionOutcome::Rejected)
+            {
+                let plan = plans.iter().find(|p| p.id == s.id).unwrap();
+                let answers: Vec<usize> = plan
+                    .events
+                    .iter()
+                    .filter_map(|e| match e {
+                        SessionEvent::Answer { tokens } => Some(*tokens),
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(s.frames_offered, plan.total_frames());
+                assert_eq!(s.frame_lags_s.len(), plan.total_frames());
+                assert_eq!(s.ttft_s.len(), answers.len());
+                assert_eq!(s.tpot_s.len(), answers.iter().map(|t| t - 1).sum::<usize>());
+                assert_eq!(
+                    s.final_cache_tokens,
+                    cfg.initial_cache_tokens
+                        + plan.total_cache_growth_tokens(model.tokens_per_frame)
+                );
+            }
+            if let Some(t) = r.tiering {
+                assert!(t.tier_miss_steps > 0, "the squeeze must spill: {t:?}");
+            }
+            if overlap {
+                assert!(r.counters.step_complete_events > 0);
+            }
+        }
+    }
 }
 
 /// Overlapped tiering keeps the spill-instead-of-reject guarantee.
