@@ -75,14 +75,31 @@ pub fn early_exit_select_row(
     }
     let threshold = total * th_ratio as f64;
 
-    let width = (max - min) / n_buckets as f32;
-    let bucket_of = |s: f32| -> usize {
-        if width <= 0.0 {
-            0
-        } else {
-            (((s - min) / width) as usize).min(n_buckets - 1)
-        }
-    };
+    assert!(
+        u32::try_from(scores.len()).is_ok(),
+        "early exit indexes rows by u32"
+    );
+    let bucket_of = bucketing(min, max, n_buckets);
+
+    // Bucket once: a counting sort of the indices by score range, so
+    // bucket `b`'s members are `order[start[b]..start[b + 1]]`,
+    // ascending. The WTU finds the same members with one comparator
+    // pass over the row per visited bucket; `elements_scanned` below
+    // still counts those passes.
+    let mut start = vec![0u32; n_buckets + 1];
+    for &s in scores {
+        start[bucket_of(s) + 1] += 1;
+    }
+    for b in 0..n_buckets {
+        start[b + 1] += start[b];
+    }
+    let mut next = start.clone();
+    let mut order = vec![0u32; scores.len()];
+    for (i, &s) in scores.iter().enumerate() {
+        let slot = &mut next[bucket_of(s)];
+        order[*slot as usize] = i as u32;
+        *slot += 1;
+    }
 
     let mut selected = Vec::new();
     let mut acc = 0.0f64;
@@ -90,23 +107,18 @@ pub fn early_exit_select_row(
     for b in (0..n_buckets).rev() {
         stats.buckets_visited += 1;
         stats.elements_scanned += scores.len();
-        // Membership bitmask for this score range.
-        let mut members: Vec<usize> = (0..scores.len())
-            .filter(|&i| bucket_of(scores[i]) == b)
-            .collect();
+        let members = &mut order[start[b] as usize..start[b + 1] as usize];
         if members.is_empty() {
             continue;
         }
         // Small within-bucket sort keeps the visit order globally
-        // descending (exact equivalence with the full sort).
-        members.sort_by(|&a, &bb| {
-            scores[bb]
-                .partial_cmp(&scores[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&bb))
-        });
+        // descending (exact equivalence with the full sort). The key
+        // (score desc, index asc) is total over distinct indices, so an
+        // unstable sort gives the one order a stable sort would.
+        members.sort_unstable_by(|&a, &bb| by_score_desc(scores, a as usize, bb as usize));
         stats.elements_sorted += members.len();
-        for idx in members {
+        for &idx in members.iter() {
+            let idx = idx as usize;
             selected.push(idx);
             acc += scores[idx] as f64 * counts[idx] as f64;
             if acc > threshold {
@@ -115,6 +127,27 @@ pub fn early_exit_select_row(
         }
     }
     (selected, stats)
+}
+
+/// The bucket of a score: `n_buckets` equal ranges over `[min, max]`,
+/// everything in bucket 0 when the range is empty.
+fn bucketing(min: f32, max: f32, n_buckets: usize) -> impl Fn(f32) -> usize {
+    let width = (max - min) / n_buckets as f32;
+    move |s: f32| -> usize {
+        if width <= 0.0 {
+            0
+        } else {
+            (((s - min) / width) as usize).min(n_buckets - 1)
+        }
+    }
+}
+
+/// WiCSum's visit order: descending score, ties by ascending index.
+fn by_score_desc(scores: &[f32], a: usize, b: usize) -> std::cmp::Ordering {
+    scores[b]
+        .partial_cmp(&scores[a])
+        .unwrap_or(std::cmp::Ordering::Equal)
+        .then(a.cmp(&b))
 }
 
 /// Convenience wrapper asserting bit-exact agreement with the
@@ -134,10 +167,96 @@ pub fn select_row_checked(
     fast
 }
 
+/// The early-exit dataflow as the WTU runs it: one membership scan of
+/// the whole row per visited bucket. Kept as the differential oracle
+/// for [`early_exit_select_row`]'s selection **and** work counters.
+#[cfg(test)]
+fn rescan_select_row(
+    scores: &[f32],
+    counts: &[usize],
+    th_ratio: f32,
+    n_buckets: usize,
+) -> (Vec<usize>, EarlyExitStats) {
+    let mut stats = EarlyExitStats {
+        buckets_total: n_buckets,
+        ..EarlyExitStats::default()
+    };
+    let mut total = 0.0f64;
+    let mut min = f32::INFINITY;
+    let mut max = f32::NEG_INFINITY;
+    for (&s, &c) in scores.iter().zip(counts) {
+        total += s as f64 * c as f64;
+        min = min.min(s);
+        max = max.max(s);
+    }
+    if total <= 0.0 || scores.is_empty() {
+        return (Vec::new(), stats);
+    }
+    let threshold = total * th_ratio as f64;
+    let bucket_of = bucketing(min, max, n_buckets);
+    let mut selected = Vec::new();
+    let mut acc = 0.0f64;
+    for b in (0..n_buckets).rev() {
+        stats.buckets_visited += 1;
+        stats.elements_scanned += scores.len();
+        let mut members: Vec<usize> = (0..scores.len())
+            .filter(|&i| bucket_of(scores[i]) == b)
+            .collect();
+        if members.is_empty() {
+            continue;
+        }
+        members.sort_by(|&a, &bb| by_score_desc(scores, a, bb));
+        stats.elements_sorted += members.len();
+        for idx in members {
+            selected.push(idx);
+            acc += scores[idx] as f64 * counts[idx] as f64;
+            if acc > threshold {
+                return (selected, stats);
+            }
+        }
+    }
+    (selected, stats)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Selection and work counters equal the per-bucket rescan's.
+    fn assert_matches_rescan(scores: &[f32], counts: &[usize], ratio: f32, n_buckets: usize) {
+        assert_eq!(
+            early_exit_select_row(scores, counts, ratio, n_buckets),
+            rescan_select_row(scores, counts, ratio, n_buckets),
+            "scores {scores:?} counts {counts:?} ratio {ratio} buckets {n_buckets}"
+        );
+    }
+
+    #[test]
+    fn one_pass_bucketing_matches_the_rescan_on_ties_and_flat_rows() {
+        // Ties inside one bucket, across the top bucket edge, and signed
+        // zeros that compare equal.
+        let tied = [3.0, 1.0, 3.0, 0.0, 2.0, 3.0, -0.0, 1.0, 2.0];
+        let counts = [2, 1, 1, 5, 3, 1, 4, 2, 1];
+        for ratio in [0.0, 0.3, 0.5, 0.9, 1.0] {
+            for n_buckets in [1, 2, 3, 8, 32] {
+                assert_matches_rescan(&tied, &counts, ratio, n_buckets);
+            }
+        }
+        // All-equal rows put everything in bucket 0 (zero-width range).
+        let flat = [0.25f32; 12];
+        for ratio in [0.0, 0.5, 0.99] {
+            assert_matches_rescan(&flat, &[3; 12], ratio, 16);
+        }
+        // More buckets than elements: most visited buckets are empty
+        // and still count one scan each.
+        let sparse = [5.0, 0.5, 4.0];
+        assert_matches_rescan(&sparse, &[1, 1, 1], 0.95, 64);
+        let (_, stats) = early_exit_select_row(&sparse, &[1, 1, 1], 0.95, 64);
+        assert_eq!(stats.buckets_visited, 64);
+        assert_eq!(stats.elements_scanned, 64 * 3);
+        assert_eq!(stats.elements_sorted, 3);
+    }
 
     #[test]
     fn matches_reference_on_fig9_example() {
@@ -202,9 +321,27 @@ mod tests {
             let counts: Vec<usize> = pairs.iter().map(|p| p.1).collect();
             let (fast, stats) = early_exit_select_row(&scores, &counts, ratio, n_buckets);
             let reference = wicsum_select_row(&scores, &counts, ratio);
-            prop_assert_eq!(fast, reference);
+            prop_assert_eq!(&fast, &reference);
             prop_assert!(stats.buckets_visited <= n_buckets);
             prop_assert!(stats.elements_sorted <= scores.len());
+            prop_assert_eq!((fast, stats), rescan_select_row(&scores, &counts, ratio, n_buckets));
+        }
+
+        /// Quantised scores force ties within and across buckets; the
+        /// one-pass bucketing must still match the rescan exactly,
+        /// work counters included.
+        #[test]
+        fn one_pass_bucketing_equals_the_rescan_under_ties(
+            pairs in proptest::collection::vec((0u8..6, 1usize..8), 0..48),
+            ratio in 0.0f32..1.0,
+            n_buckets in 1usize..80,
+        ) {
+            let scores: Vec<f32> = pairs.iter().map(|p| p.0 as f32 * 0.5).collect();
+            let counts: Vec<usize> = pairs.iter().map(|p| p.1).collect();
+            prop_assert_eq!(
+                early_exit_select_row(&scores, &counts, ratio, n_buckets),
+                rescan_select_row(&scores, &counts, ratio, n_buckets)
+            );
         }
 
         /// Early exit must never *increase* work beyond one full pass

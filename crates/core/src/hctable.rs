@@ -62,6 +62,8 @@ pub struct HcTable {
     clusters: Vec<Cluster>,
     hamming_threshold: u32,
     n_tokens: usize,
+    /// One past the largest token index inserted (0 when empty).
+    index_end: usize,
     stats: ClusteringStats,
     reps_cache: Option<Matrix>,
 }
@@ -73,6 +75,7 @@ impl HcTable {
             clusters: Vec::new(),
             hamming_threshold,
             n_tokens: 0,
+            index_end: 0,
             stats: ClusteringStats::default(),
             reps_cache: None,
         }
@@ -123,6 +126,7 @@ impl HcTable {
         let bits = hyperplanes.hash(key);
         self.stats.tokens_inserted += 1;
         self.reps_cache = None;
+        self.index_end = self.index_end.max(token_index + 1);
         for cluster in &mut self.clusters {
             self.stats.hamming_comparisons += 1;
             if bits.hamming_distance(&cluster.rep_bits) < self.hamming_threshold {
@@ -181,13 +185,13 @@ impl HcTable {
     ///
     /// Panics if a cluster index is out of range.
     pub fn tokens_of_clusters(&self, cluster_indices: &[usize]) -> Vec<usize> {
-        let mut out: Vec<usize> = cluster_indices
-            .iter()
-            .flat_map(|&c| self.clusters[c].token_indices.iter().copied())
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
+        let mut member = vec![false; self.index_end];
+        for &c in cluster_indices {
+            for &t in &self.clusters[c].token_indices {
+                member[t] = true;
+            }
+        }
+        (0..self.index_end).filter(|&t| member[t]).collect()
     }
 
     /// Verifies the partition invariants (each inserted token index in
@@ -261,6 +265,34 @@ mod tests {
         t.insert_token(&[1.0; 8], 2, &hp);
         let toks = t.tokens_of_clusters(&[0]);
         assert_eq!(toks, vec![2, 5]);
+    }
+
+    #[test]
+    fn tokens_of_clusters_equals_sort_and_dedup() {
+        // Out-of-order, non-contiguous indices: one cluster per token
+        // (threshold 0), a few shared clusters (12), one cluster (33).
+        let hp = hp(8);
+        let mut rng = seeded_rng(12);
+        let keys = gaussian_matrix(&mut rng, 9, 8, 1.0);
+        let indices = [41, 3, 17, 90, 4, 62, 8, 25, 0];
+        for threshold in [0, 12, 33] {
+            let mut t = HcTable::new(threshold);
+            for (r, &i) in indices.iter().enumerate() {
+                t.insert_token(keys.row(r), i, &hp);
+            }
+            let n = t.n_clusters();
+            let picks: [&[usize]; 4] = [&[], &[n - 1, 0], &[0, 0], &[n - 1]];
+            let all: Vec<usize> = (0..n).rev().collect();
+            for pick in picks.into_iter().chain([all.as_slice()]) {
+                let mut want: Vec<usize> = pick
+                    .iter()
+                    .flat_map(|&c| t.clusters()[c].token_indices().iter().copied())
+                    .collect();
+                want.sort_unstable();
+                want.dedup();
+                assert_eq!(t.tokens_of_clusters(pick), want, "threshold {threshold}");
+            }
+        }
     }
 
     #[test]

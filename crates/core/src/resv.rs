@@ -191,15 +191,15 @@ impl ResvPolicy {
     /// the paper's claim that the table occupies ~1.67% of the cache.
     ///
     /// Per cluster the table stores: cluster idx (4 B), `Key_cluster`
-    /// (`head_dim · 2` B), its hash bits (`N_hp / 8` B) and token count
-    /// (4 B); per token it stores the token index (4 B).
+    /// (`head_dim · 2` B), its hash bits (`⌈N_hp / 8⌉` B) and token
+    /// count (4 B); per token it stores the token index (4 B).
     pub fn hc_table_overhead_fraction(&self, model: &ModelConfig) -> f64 {
         let mut table_bytes = 0usize;
         let mut tokens = 0usize;
         for row in &self.tables {
             for t in row {
                 table_bytes += t.n_clusters()
-                    * (4 + self.head_dim * 2 + self.cfg.n_hyperplanes / 8 + 4)
+                    * (4 + self.head_dim * 2 + self.cfg.n_hyperplanes.div_ceil(8) + 4)
                     + t.n_tokens() * 4;
                 tokens += t.n_tokens();
             }
@@ -226,14 +226,18 @@ impl ResvPolicy {
         self.work.cluster_scores_computed += (scores.rows() * scores.cols()) as u64;
         self.work.token_scores_equivalent += (scores.rows() * old_len) as u64;
 
-        let mut union: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
+        // Union of the rows' selections, marked per cluster.
+        let mut chosen = vec![false; scores.cols()];
+        let mut transformed = vec![0.0f32; scores.cols()];
         for r in 0..scores.rows() {
             let row = scores.row(r);
             // Monotone non-negative transform: exponentiated max-shifted
             // score (the softmax numerator) — concentrated rows stay
             // concentrated, and WiCSum's weighted mass is well-defined.
             let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let transformed: Vec<f32> = row.iter().map(|&s| (s - max).exp()).collect();
+            for (t, &s) in transformed.iter_mut().zip(row) {
+                *t = (s - max).exp();
+            }
             let selected = if self.cfg.use_early_exit {
                 let (sel, st) = early_exit_select_row(
                     &transformed,
@@ -246,9 +250,11 @@ impl ResvPolicy {
             } else {
                 wicsum_select_row(&transformed, &counts, self.cfg.th_wics)
             };
-            union.extend(selected);
+            for c in selected {
+                chosen[c] = true;
+            }
         }
-        union.into_iter().collect()
+        (0..chosen.len()).filter(|&c| chosen[c]).collect()
     }
 }
 
@@ -411,6 +417,32 @@ mod tests {
             overhead < 0.05,
             "Llama-dim HC overhead {overhead} should be a few percent"
         );
+    }
+
+    #[test]
+    fn hc_table_overhead_charges_whole_signature_bytes() {
+        // N_hp = 12 needs two signature bytes per cluster, not one.
+        let cfg = ModelConfig::tiny();
+        let resv = ResvConfig {
+            n_hyperplanes: 12,
+            clustering_enabled: false,
+            ..ResvConfig::paper_defaults()
+        };
+        let mut policy = ResvPolicy::new(&cfg, resv);
+        let keys = vrex_tensor::rng::gaussian_matrix(
+            &mut vrex_tensor::rng::seeded_rng(5),
+            3,
+            cfg.head_dim,
+            1.0,
+        );
+        policy.on_keys_appended(0, 0, &keys, 0);
+        // Three single-token clusters: 3 · (4 + 2·head_dim + 2 + 4) B of
+        // table and 3 · 4 B of token indices over 3 tokens of K and V.
+        let table = 3 * (4 + 2 * cfg.head_dim + 2 + 4) + 3 * 4;
+        let kv = 3 * 2 * cfg.head_dim * cfg.bytes_per_element;
+        let want = table as f64 / kv as f64;
+        let got = policy.hc_table_overhead_fraction(&cfg);
+        assert!((got - want).abs() < 1e-12, "overhead {got}, want {want}");
     }
 
     #[test]

@@ -44,29 +44,26 @@ pub fn attention_with_selection(
     let d = q.cols();
     assert_eq!(d, keys.cols(), "query/key width mismatch");
 
-    // Effective context = selected old tokens ++ new tokens. The lazy
-    // `All` case skips the gather entirely.
-    let (k_eff, v_eff, n_sel) = match selected_old.materialized() {
-        None => (keys.clone(), values.clone(), old_len),
-        Some(idx) => {
-            for &i in idx {
-                assert!(
-                    i < old_len,
-                    "selected index {i} not in history (len {old_len})"
-                );
-            }
-            let mut rows: Vec<usize> = idx.to_vec();
-            rows.extend(old_len..total);
-            (
-                keys.gather_rows(&rows),
-                values.gather_rows(&rows),
-                idx.len(),
-            )
+    // Effective context = selected old tokens ++ new tokens, read from
+    // the cache by row index; the lazy `All` case is the whole cache.
+    let context: Option<Vec<usize>> = selected_old.materialized().map(|idx| {
+        for &i in idx {
+            assert!(
+                i < old_len,
+                "selected index {i} not in history (len {old_len})"
+            );
         }
-    };
+        let mut rows: Vec<usize> = idx.to_vec();
+        rows.extend(old_len..total);
+        rows
+    });
+    let n_sel = selected_old.materialized().map_or(old_len, <[usize]>::len);
 
     let scale = 1.0 / (d as f32).sqrt();
-    let mut scores = q.matmul_transposed(&k_eff);
+    let mut scores = match &context {
+        None => q.matmul_transposed(keys),
+        Some(rows) => q.matmul_transposed_rows(keys, rows),
+    };
     scores.scale_in_place(scale);
 
     // Causal mask over the new-token part of the context.
@@ -77,7 +74,10 @@ pub fn attention_with_selection(
         }
     }
     ops::softmax_rows(&mut scores);
-    scores.matmul(&v_eff)
+    match &context {
+        None => scores.matmul(values),
+        Some(rows) => scores.matmul_rows(values, rows),
+    }
 }
 
 /// Fraction of the *full-attention* probability mass that falls on the
@@ -92,6 +92,10 @@ pub fn attention_with_selection(
 /// attended and would inflate recall).
 ///
 /// Returns `1.0` when there is no history.
+///
+/// # Panics
+///
+/// Panics if a selected index is not below `old_len`.
 pub fn selection_recall(
     q: &Matrix,
     keys: &Matrix,
@@ -108,8 +112,10 @@ pub fn selection_recall(
     let d = q.cols() as f32;
     let scale = 1.0 / d.sqrt();
     let mut total_recall = 0.0;
-    // vrex-lint: allow(unordered-iteration) — membership-only set: order is never observed, and the per-row recall loop wants O(1) contains().
-    let selected: std::collections::HashSet<usize> = idx.iter().copied().collect();
+    let mut selected = vec![false; old_len];
+    for &j in idx {
+        selected[j] = true;
+    }
     for r in 0..q.rows() {
         let qrow = q.row(r);
         // softmax over history only
@@ -125,7 +131,7 @@ pub fn selection_recall(
         for (j, s) in scores.iter().enumerate() {
             let e = ((s - max) as f64).exp();
             denom += e;
-            if selected.contains(&j) {
+            if selected[j] {
                 num += e;
             }
         }

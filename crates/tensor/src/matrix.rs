@@ -3,6 +3,10 @@
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
+/// Rows of the right operand the transposed products transpose at a
+/// time: the width of the accumulator each output row sums into.
+const PANEL: usize = 64;
+
 /// A dense row-major matrix of `f32` values.
 ///
 /// This is the single tensor type used across the whole V-Rex
@@ -191,16 +195,50 @@ impl Matrix {
             "matmul dimension mismatch: {}x{} · {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        let mut out = Matrix::zeros(self.rows, other.cols);
+        self.matmul_by_rows(other, |k| k)
+    }
+
+    /// `self · other.gather_rows(rows)` without materialising the
+    /// gather: bit-identical to it, `matmul`'s zero skip included.
+    ///
+    /// This is attention's `P · V` over a retrieved subset of the cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols() != rows.len()` or a row index is out of
+    /// bounds.
+    pub fn matmul_rows(&self, other: &Matrix, rows: &[usize]) -> Matrix {
+        assert_eq!(
+            self.cols,
+            rows.len(),
+            "matmul_rows dimension mismatch: {}x{} · {} gathered rows",
+            self.rows,
+            self.cols,
+            rows.len()
+        );
+        // The zero skip may never touch some rows; reject bad indices
+        // the way `gather_rows` would.
+        assert!(
+            rows.iter().all(|&r| r < other.rows),
+            "row index out of bounds ({})",
+            other.rows
+        );
+        self.matmul_by_rows(other, |k| rows[k])
+    }
+
+    /// `self · B` where row `k` of `B` is `other.row(row_of(k))`.
+    /// Each output row accumulates `a_k · B[k]` for `k` in order,
+    /// skipping `a_k == 0.0`.
+    fn matmul_by_rows(&self, other: &Matrix, row_of: impl Fn(usize) -> usize) -> Matrix {
+        let n = other.cols;
+        let mut out = Matrix::zeros(self.rows, n);
         for i in 0..self.rows {
-            let a_row = self.row(i);
-            let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
-            for (k, &a) in a_row.iter().enumerate() {
+            let out_row = &mut out.data[i * n..(i + 1) * n];
+            for (k, &a) in self.row(i).iter().enumerate() {
                 if a == 0.0 {
                     continue;
                 }
-                let b_row = &other.data[k * other.cols..(k + 1) * other.cols];
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
+                for (o, &b) in out_row.iter_mut().zip(other.row(row_of(k))) {
                     *o += a * b;
                 }
             }
@@ -211,7 +249,8 @@ impl Matrix {
     /// Matrix product against the transpose of `other`: `self · otherᵀ`.
     ///
     /// This is the attention-score kernel (`Q · Kᵀ`); it avoids
-    /// materialising the transpose.
+    /// materialising the transpose. Every element is the in-order dot
+    /// product `0.0 + a₀b₀ + a₁b₁ + …`.
     ///
     /// # Panics
     ///
@@ -222,16 +261,63 @@ impl Matrix {
             "matmul_transposed dimension mismatch: {}x{} · ({}x{})ᵀ",
             self.rows, self.cols, other.rows, other.cols
         );
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            for j in 0..other.rows {
-                let b_row = other.row(j);
-                let mut acc = 0.0;
-                for (a, b) in a_row.iter().zip(b_row) {
-                    acc += a * b;
+        self.panel_matmul_transposed(other, other.rows, |j| j)
+    }
+
+    /// `self · other.gather_rows(rows)ᵀ` without materialising the
+    /// gather: bit-identical to it.
+    ///
+    /// This is attention's `Q · Kᵀ` over a retrieved subset of the cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols() != other.cols()` or a row index is out of
+    /// bounds.
+    pub fn matmul_transposed_rows(&self, other: &Matrix, rows: &[usize]) -> Matrix {
+        assert_eq!(
+            self.cols, other.cols,
+            "matmul_transposed_rows dimension mismatch: {}x{} · ({}x{})ᵀ",
+            self.rows, self.cols, other.rows, other.cols
+        );
+        self.panel_matmul_transposed(other, rows.len(), |j| rows[j])
+    }
+
+    /// `self · Bᵀ` where row `j` of the `n`-row `B` is
+    /// `other.row(row_of(j))`.
+    ///
+    /// `B` is transposed [`PANEL`] rows at a time, so each output row
+    /// of a panel accumulates `a_k · panel[k][..]` for `k` in order: the
+    /// inner loop runs across output columns and vectorises, while each
+    /// element still sums its products in the order of a plain dot
+    /// product.
+    fn panel_matmul_transposed(
+        &self,
+        other: &Matrix,
+        n: usize,
+        row_of: impl Fn(usize) -> usize,
+    ) -> Matrix {
+        let d = self.cols;
+        let mut out = Matrix::zeros(self.rows, n);
+        let mut panel = vec![0.0f32; d * PANEL];
+        for j0 in (0..n).step_by(PANEL) {
+            let width = PANEL.min(n - j0);
+            if width < PANEL {
+                // Columns past the matrix edge are computed, not read.
+                panel.fill(0.0);
+            }
+            for jj in 0..width {
+                for (k, &b) in other.row(row_of(j0 + jj)).iter().enumerate() {
+                    panel[k * PANEL + jj] = b;
                 }
-                out[(i, j)] = acc;
+            }
+            for i in 0..self.rows {
+                let mut acc = [0.0f32; PANEL];
+                for (&a, b) in self.row(i).iter().zip(panel.chunks_exact(PANEL)) {
+                    for (o, &b) in acc.iter_mut().zip(b) {
+                        *o += a * b;
+                    }
+                }
+                out.data[i * n + j0..i * n + j0 + width].copy_from_slice(&acc[..width]);
             }
         }
         out
@@ -417,6 +503,29 @@ mod tests {
         let via_t = a.matmul(&b.transposed());
         let fused = a.matmul_transposed(&b);
         assert!(via_t.max_abs_diff(&fused) < 1e-6);
+    }
+
+    #[test]
+    fn row_products_handle_empty_operands() {
+        let a = Matrix::zeros(2, 0);
+        let b = Matrix::zeros(3, 0);
+        assert_eq!(a.matmul_transposed(&b), Matrix::zeros(2, 3));
+        assert_eq!(a.matmul_transposed_rows(&b, &[2, 2]), Matrix::zeros(2, 2));
+        assert_eq!(a.matmul_rows(&b, &[]), Matrix::zeros(2, 0));
+        let none = Matrix::zeros(0, 3);
+        assert_eq!(
+            none.matmul_transposed(&Matrix::zeros(5, 3)),
+            Matrix::zeros(0, 5)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn matmul_rows_rejects_a_skipped_bad_index() {
+        // The zero weight skips row 7, which gather_rows would reject.
+        let p = Matrix::from_rows(&[&[0.0, 1.0]]);
+        let v = Matrix::from_rows(&[&[1.0], &[2.0]]);
+        let _ = p.matmul_rows(&v, &[7, 1]);
     }
 
     #[test]

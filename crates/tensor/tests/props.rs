@@ -9,6 +9,26 @@ fn matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
     gaussian_matrix(&mut seeded_rng(seed), rows, cols, 1.0)
 }
 
+/// `m` with about one element in five replaced by `0.0` or `-0.0`.
+fn with_zeros(mut m: Matrix, seed: u64) -> Matrix {
+    for (i, v) in m.data_mut().iter_mut().enumerate() {
+        match (i as u64 ^ seed) % 10 {
+            0 => *v = 0.0,
+            1 => *v = -0.0,
+            _ => {}
+        }
+    }
+    m
+}
+
+fn bits(m: &Matrix) -> (usize, usize, Vec<u32>) {
+    (
+        m.rows(),
+        m.cols(),
+        m.data().iter().map(|v| v.to_bits()).collect(),
+    )
+}
+
 proptest! {
     #[test]
     fn matmul_distributes_over_addition(
@@ -33,13 +53,56 @@ proptest! {
         prop_assert!(lhs.max_abs_diff(&rhs) < 1e-3);
     }
 
+    /// Every element is the in-order dot product `0.0 + a₀b₀ + …`, bit
+    /// for bit, on right operands that straddle the 64-row panel.
     #[test]
     fn matmul_transposed_is_consistent(
-        n in 1usize..8, m in 1usize..8, k in 1usize..8, seed in 0u64..1000
+        n in 0usize..5,
+        m in 0usize..12,
+        k_pick in 0usize..6,
+        seed in 0u64..1000,
     ) {
-        let a = matrix(n, m, seed);
-        let b = matrix(k, m, seed + 13);
-        prop_assert!(a.matmul_transposed(&b).max_abs_diff(&a.matmul(&b.transposed())) < 1e-4);
+        let k = [0, 1, 63, 64, 65, 130][k_pick];
+        let a = with_zeros(matrix(n, m, seed), seed);
+        let b = with_zeros(matrix(k, m, seed + 13), seed + 1);
+        let got = a.matmul_transposed(&b);
+        prop_assert_eq!((got.rows(), got.cols()), (n, k));
+        for i in 0..n {
+            for j in 0..k {
+                let mut acc = 0.0f32;
+                for (x, y) in a.row(i).iter().zip(b.row(j)) {
+                    acc += x * y;
+                }
+                prop_assert_eq!(got[(i, j)].to_bits(), acc.to_bits(), "element ({}, {})", i, j);
+            }
+        }
+    }
+
+    /// The row-indexed products equal gather-then-multiply bitwise, for
+    /// repeated and unsorted row indices.
+    #[test]
+    fn row_indexed_products_equal_gather_then_multiply(
+        n in 0usize..4,
+        m in 1usize..10,
+        src in 1usize..140,
+        idx in proptest::collection::vec(0usize..1000, 0..140),
+        seed in 0u64..1000,
+    ) {
+        let rows: Vec<usize> = idx.iter().map(|&i| i % src).collect();
+        let other = with_zeros(matrix(src, m, seed), seed);
+        let a = with_zeros(matrix(n, m, seed + 3), seed + 4);
+        let gathered = other.gather_rows(&rows);
+        prop_assert_eq!(
+            bits(&a.matmul_transposed_rows(&other, &rows)),
+            bits(&a.matmul_transposed(&gathered))
+        );
+        // `matmul_rows` is the `P · V` side: weights over the gathered
+        // rows, some exactly zero to exercise `matmul`'s skip.
+        let p = with_zeros(matrix(n, rows.len(), seed + 5), seed + 6);
+        prop_assert_eq!(
+            bits(&p.matmul_rows(&other, &rows)),
+            bits(&p.matmul(&gathered))
+        );
     }
 
     #[test]
