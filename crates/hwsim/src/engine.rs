@@ -26,7 +26,10 @@
 //!   work item first became visible).
 //!
 //! [`Engine::truncate_from`] drops not-yet-started reservations from a
-//! timeline so a scheduler can re-plan after conditions change.
+//! timeline so a scheduler can re-plan after conditions change, and
+//! [`Engine::forget_before`] drops finished history that no later
+//! reservation can reach, so a long-running caller holds only the
+//! intervals that can still move a result.
 
 use crate::time::ps_to_seconds;
 
@@ -68,6 +71,11 @@ struct Resource {
     /// recorded interval has `end > start`, so the ends are sorted too
     /// — the invariant the binary searches below rely on.
     busy: Vec<BusyInterval>,
+    /// Latest end among the intervals [`Engine::forget_before`] dropped
+    /// (0 until something is forgotten). A search from at or after it
+    /// never meets a forgotten interval; debug builds assert every
+    /// reservation starts its search there.
+    floor: u64,
 }
 
 impl Resource {
@@ -140,6 +148,7 @@ impl Engine {
             name: name.to_string(),
             next_free: 0,
             busy: Vec::new(),
+            floor: 0,
         });
         ResourceId(self.resources.len() - 1)
     }
@@ -180,7 +189,10 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics if `resource` is invalid.
+    /// Panics if `resource` is invalid. Debug builds also panic when
+    /// `earliest_ps` lies before the resource's forgotten floor (see
+    /// [`Self::forget_before`]): such a search would need history the
+    /// engine no longer holds.
     pub fn reserve_after(
         &mut self,
         resource: ResourceId,
@@ -190,6 +202,11 @@ impl Engine {
         bytes: u64,
     ) -> TaskId {
         let res = &mut self.resources[resource.0];
+        debug_assert!(
+            earliest_ps >= res.floor,
+            "reservation at {earliest_ps} searches forgotten history (floor {})",
+            res.floor
+        );
         let start = res.earliest_fit(earliest_ps, duration_ps);
         let end = start.saturating_add(duration_ps);
         res.next_free = res.next_free.max(end);
@@ -241,15 +258,56 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics if `resource` is invalid.
+    /// Panics if `resource` is invalid. Debug builds also panic when
+    /// `t_ps` lies before the resource's forgotten floor.
     pub fn truncate_from(&mut self, resource: ResourceId, t_ps: u64) -> usize {
         let res = &mut self.resources[resource.0];
+        debug_assert!(
+            t_ps >= res.floor,
+            "truncation at {t_ps} reaches forgotten history (floor {})",
+            res.floor
+        );
         let keep = res.busy.partition_point(|b| b.start < t_ps);
         let removed = res.busy.len() - keep;
         res.busy.truncate(keep);
-        // Sorted ends: the last kept interval ends latest.
-        res.next_free = res.busy.last().map_or(0, |b| b.end);
+        // Sorted ends: the last kept interval ends latest; with none
+        // kept, the latest end is the last forgotten one.
+        res.next_free = res.busy.last().map_or(res.floor, |b| b.end);
         removed
+    }
+
+    /// Forgets, on every resource, the prefix of busy intervals that
+    /// end at or before `t_ps`, returning how many were dropped.
+    ///
+    /// The caller promises that no later reservation on any resource
+    /// searches from before `t_ps`. Under that promise nothing changes:
+    /// an earliest fit from `earliest >= t_ps` already skips exactly
+    /// this prefix (the intervals ending at or before `earliest`), and
+    /// [`Self::next_free`] and [`Self::makespan`] are kept as they were.
+    /// Debug builds hold the caller to it (see [`Self::reserve_after`]).
+    ///
+    /// What does change is every whole-history query: [`Self::trace`],
+    /// [`Self::busy_time`], [`Self::utilization`] and
+    /// [`Self::bandwidth_in_window`] then cover only the retained
+    /// intervals. A caller that reads them should not forget.
+    pub fn forget_before(&mut self, t_ps: u64) -> usize {
+        let mut dropped = 0;
+        for res in &mut self.resources {
+            let n = res.busy.partition_point(|b| b.end <= t_ps);
+            if n > 0 {
+                res.floor = res.floor.max(res.busy[n - 1].end);
+                res.busy.drain(..n);
+                dropped += n;
+            }
+        }
+        dropped
+    }
+
+    /// Busy intervals currently held across every resource: everything
+    /// reserved with a nonzero duration, less what was truncated or
+    /// forgotten.
+    pub fn held(&self) -> usize {
+        self.resources.iter().map(|r| r.busy.len()).sum()
     }
 
     /// The appended-task frontier of a resource: the earliest instant
@@ -593,6 +651,49 @@ mod tests {
         assert_eq!(e.start_of(tail), 2 * N * SLOT);
     }
 
+    #[test]
+    fn forget_before_drops_only_finished_history() {
+        let mut e = Engine::new();
+        let link = e.add_resource("link");
+        let cpu = e.add_resource("cpu");
+        e.reserve_after(link, 0, 100, "a", 0); // [0, 100)
+        e.reserve_after(link, 300, 100, "b", 0); // [300, 400)
+        e.schedule(cpu, 250, &[], "c", 0); // [0, 250)
+        assert_eq!(e.held(), 3);
+        // At 200 only `a` has ended; `c` is still running.
+        assert_eq!(e.forget_before(200), 1);
+        assert_eq!(e.held(), 2);
+        assert_eq!(e.trace(link).len(), 1);
+        assert_eq!((e.next_free(link), e.next_free(cpu)), (400, 250));
+        assert_eq!(e.makespan(), 400);
+        // A search from the watermark still sees the [100, 300) gap.
+        let d = e.reserve_after(link, 200, 100, "d", 0);
+        assert_eq!((e.start_of(d), e.end_of(d)), (200, 300));
+        // Forgetting everything leaves the frontiers where they were,
+        // and a truncation with nothing left rewinds to the last
+        // forgotten end, not to 0.
+        assert_eq!(e.forget_before(1_000), 3);
+        assert_eq!(e.held(), 0);
+        assert_eq!(e.next_free(link), 400);
+        assert_eq!(e.truncate_from(link, 1_000), 0);
+        assert_eq!(e.next_free(link), 400);
+        let f = e.schedule(link, 10, &[], "f", 0);
+        assert_eq!(e.start_of(f), 400);
+    }
+
+    /// A reservation that would search behind the forgotten floor is a
+    /// caller bug: the answer could depend on dropped history.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "searches forgotten history")]
+    fn reserving_below_the_forgotten_floor_panics_in_debug() {
+        let mut e = Engine::new();
+        let link = e.add_resource("link");
+        e.reserve_after(link, 0, 100, "a", 0); // [0, 100)
+        e.forget_before(150);
+        e.reserve_after(link, 50, 10, "b", 0);
+    }
+
     /// The timeline as it was before the binary searches — earliest fit
     /// walks from index 0, truncation recomputes the frontier with an
     /// O(n) max — kept as the reference the differential test below
@@ -718,23 +819,28 @@ mod tests {
 
         /// Differential check against [`LinearTimeline`]: over random
         /// mixes of appends, earliest-fit reservations (with and
-        /// without dependencies, zero durations included) and
-        /// truncations, every task gets the same start and end, the
-        /// timelines hold the same intervals, `next_free` agrees (and
-        /// equals the last interval's end right after a truncation),
-        /// and `makespan` is the max end ever returned.
+        /// without dependencies, zero durations included),
+        /// truncations and forgetting, every task gets the same start
+        /// and end, `next_free` agrees (and equals the last interval's
+        /// end right after a truncation), and `makespan` is the max end
+        /// ever returned. Only the engine forgets; from then on every
+        /// instant is floored at the latest watermark, as a caller's
+        /// must be, and the engine holds a suffix of the reference
+        /// timeline whose dropped prefix all ended by that watermark.
         #[test]
         fn binary_searched_timeline_matches_the_linear_reference(
             ops in proptest::collection::vec(
-                (0u8..4, 0usize..2, 0u64..5000, 0u64..800), 1..120)
+                (0u8..5, 0usize..2, 0u64..5000, 0u64..800), 1..120)
         ) {
             let mut e = Engine::new();
             let rs = [e.add_resource("a"), e.add_resource("b")];
             let mut reference = [LinearTimeline::default(), LinearTimeline::default()];
             let mut last: Option<TaskId> = None;
             let mut max_end = 0;
+            let mut watermark = 0;
             for &(op, ri, at, dur) in &ops {
                 let (r, lin) = (rs[ri], &mut reference[ri]);
+                let at = at.max(watermark);
                 let dep_ready = last.map_or(0, |t| e.end_of(t));
                 let (task, expected) = match op {
                     0 => (
@@ -746,13 +852,17 @@ mod tests {
                         e.schedule_after(r, at, dur, last.as_slice(), "dep", dur),
                         lin.place(at.max(dep_ready), dur),
                     ),
-                    _ => {
+                    3 => {
                         prop_assert_eq!(e.truncate_from(r, at), lin.truncate_from(at));
                         prop_assert_eq!(e.next_free(r), lin.next_free);
-                        prop_assert_eq!(
-                            e.next_free(r),
-                            e.trace(r).last().map_or(0, |b| b.end)
-                        );
+                        if let Some(b) = e.trace(r).last() {
+                            prop_assert_eq!(e.next_free(r), b.end);
+                        }
+                        continue;
+                    }
+                    _ => {
+                        e.forget_before(at);
+                        watermark = at;
                         continue;
                     }
                 };
@@ -762,10 +872,15 @@ mod tests {
                 prop_assert_eq!(e.next_free(r), lin.next_free);
                 prop_assert_eq!(e.makespan(), max_end);
             }
+            let mut held = 0;
             for (r, lin) in rs.into_iter().zip(&reference) {
                 let got: Vec<(u64, u64)> = e.trace(r).iter().map(|b| (b.start, b.end)).collect();
-                prop_assert_eq!(&got, &lin.busy);
+                prop_assert!(lin.busy.ends_with(&got), "engine holds a suffix of the reference");
+                let dropped = &lin.busy[..lin.busy.len() - got.len()];
+                prop_assert!(dropped.iter().all(|b| b.1 <= watermark));
+                held += got.len();
             }
+            prop_assert_eq!(e.held(), held);
         }
     }
 }

@@ -5,7 +5,6 @@
 //! the module docs of [`super`]).
 
 use vrex_hwsim::engine::{Engine, ResourceId, TaskId};
-use vrex_hwsim::tier::MemTier;
 
 use super::stream::{live, live_mut, Event, EventKind, Kind};
 use super::{Sched, TraceKind};
@@ -17,9 +16,13 @@ use crate::pricing::ExecContext;
 /// current batch computes).
 const MAX_IN_FLIGHT: usize = 2;
 
+/// Held timeline intervals below which the overlapped driver never
+/// forgets history: a small timeline is cheaper to search than to trim.
+pub(super) const FORGET_MIN_HELD: usize = 256;
+
 /// The resource timeline of one overlapped run: the engine and its
-/// named resources. The PCIe link is full duplex, so it appears as two
-/// directional lanes: `pcie` (up, host/SSD → device — the
+/// three named resources. The PCIe link is full duplex, so it appears
+/// as two directional lanes: `pcie` (up, host/SSD → device — the
 /// latency-critical restore and fetch direction) and `pcie-down`
 /// (device → host/SSD demotion writebacks, which therefore never block
 /// a restore; they still serialise against each other).
@@ -28,8 +31,9 @@ pub(super) struct Resources {
     compute: ResourceId,
     pcie: ResourceId,
     pcie_down: ResourceId,
-    host: ResourceId,
-    ssd: ResourceId,
+    /// Held intervals at which the next forget runs: twice what the
+    /// last one kept, and never below [`FORGET_MIN_HELD`].
+    forget_at: usize,
 }
 
 impl Resources {
@@ -38,15 +42,12 @@ impl Resources {
         let compute = engine.add_resource("compute");
         let pcie = engine.add_resource("pcie");
         let pcie_down = engine.add_resource("pcie-down");
-        let host = engine.add_resource("host-dram");
-        let ssd = engine.add_resource("ssd");
         Resources {
             engine,
             compute,
             pcie,
             pcie_down,
-            host,
-            ssd,
+            forget_at: FORGET_MIN_HELD,
         }
     }
 }
@@ -115,9 +116,8 @@ impl Sched<'_> {
     /// resource timeline every spill/promotion becomes a
     /// lowest-priority link task (appended after all current
     /// reservations — writebacks stream behind latency-critical
-    /// traffic) with its source/destination channel leg mirrored on
-    /// the `ssd`/`host-dram` resources; serialized execution keeps the
-    /// PR 3 assumption that writebacks stream behind compute for free.
+    /// traffic); serialized execution assumes writebacks stream behind
+    /// compute for free.
     pub(super) fn flush_migrations(&mut self) {
         let Some(mgr) = self.tiers.as_mut() else {
             return;
@@ -129,7 +129,8 @@ impl Sched<'_> {
         // flushes; no per-flush allocation).
         let mut migrations = std::mem::take(&mut self.migrations);
         mgr.drain_migrations_into(&mut migrations);
-        if let Some(res) = self.res.as_mut() {
+        if self.cfg.overlap {
+            let res = &mut self.res;
             for m in migrations.drain(..) {
                 let dur = mgr.migration_price_ps(m.from, m.to, m.bytes);
                 if dur == 0 {
@@ -151,15 +152,6 @@ impl Sched<'_> {
                 let t = res
                     .engine
                     .schedule_after(lane, earliest, dur, &[], tag, m.bytes);
-                let start = res.engine.start_of(t);
-                for tier in [m.from, m.to] {
-                    let channel = match tier {
-                        MemTier::Host => res.host,
-                        MemTier::Ssd => res.ssd,
-                        MemTier::Device => continue,
-                    };
-                    res.engine.reserve_after(channel, start, dur, tag, m.bytes);
-                }
                 // Restores of these bytes cannot begin before the demotion
                 // writeback lands below the device tier.
                 if demotion {
@@ -233,6 +225,47 @@ impl Sched<'_> {
                 break;
             }
         }
+        self.note_timeline_size();
+    }
+
+    /// Folds the timeline's current size into
+    /// [`ServeCounters::timeline_peak`](super::ServeCounters::timeline_peak)
+    /// and returns it. Intervals only accumulate between forgets, so
+    /// sampling right before each forget and once at the end of the run
+    /// sees the exact peak.
+    fn note_timeline_size(&mut self) -> usize {
+        let held = self.res.engine.held();
+        self.counters.timeline_peak = self.counters.timeline_peak.max(held);
+        held
+    }
+
+    /// Once the timeline has doubled since the last forget, forgets the
+    /// history behind the causal watermark `W`: `now`, lowered to the
+    /// earliest head-visibility instant of any live stream. No later
+    /// reservation searches from before `W`:
+    ///
+    /// * a restore prefetch starts its search at its member's
+    ///   `head_visible_ps().max(spill_visible_ps)`, and a stream's later
+    ///   heads become visible no earlier than its current one (each is
+    ///   floored at the completion of the one before);
+    /// * demand fetches, compute, step fetches and migrations all search
+    ///   from `now` or later, and `now` never rewinds;
+    /// * streams admitted later start their clocks at or after `now`.
+    ///
+    /// The scan is O(active streams), paid once per doubling.
+    fn forget_settled_history(&mut self) {
+        if self.note_timeline_size() < self.res.forget_at {
+            return;
+        }
+        let watermark = self
+            .slab
+            .iter()
+            .flatten()
+            .filter(|s| s.head().is_some())
+            .map(|s| s.head_visible_ps())
+            .fold(self.now, u64::min);
+        self.res.engine.forget_before(watermark);
+        self.res.forget_at = FORGET_MIN_HELD.max(2 * self.res.engine.held());
     }
 
     /// Forms one batch at `now` and schedules its execution on the
@@ -242,8 +275,7 @@ impl Sched<'_> {
     ///   the speculated share ([`RestorePlan::spec_ps`]) may claim
     ///   link idle time from the moment the work item became visible
     ///   (earliest-fit, possibly before `now`), the mispredicted
-    ///   remainder is demand-fetched from formation — with the
-    ///   host/SSD leg mirrored on the source channel;
+    ///   remainder is demand-fetched from formation;
     /// * batch compute appends FIFO on the `compute` resource;
     /// * the step's own cold-KV fetch traffic occupies the link for
     ///   `fetch_ps` from the compute start, queueing behind restores —
@@ -254,6 +286,7 @@ impl Sched<'_> {
     /// time beyond the compute/fetch horizon is the exposed remainder
     /// charged to the members (and to [`TierReport::exposed_s`]).
     fn launch_batch(&mut self) {
+        self.forget_settled_history();
         let (kind, step) = self.form_batch(ExecContext::Overlapped);
         let batch = self.members.len();
         let generation = kind == Kind::Decode;
@@ -269,8 +302,7 @@ impl Sched<'_> {
             if !mgr.any_spilled_bytes() {
                 mgr.record_all_hot_steps(batch as u64);
             } else {
-                // vrex-lint: allow(panicking-seam) — the overlapped driver constructs its Engine at serve start; this branch only runs overlapped.
-                let res = self.res.as_mut().expect("overlapped runs own resources");
+                let res = &mut self.res;
                 for (k, rslot) in restores.iter_mut().enumerate() {
                     let s = live(&self.slab, self.members[k]);
                     let plan = mgr.plan_restore(s.id, ratio, generation, self.prefetch.as_ref());
@@ -293,7 +325,6 @@ impl Sched<'_> {
                     };
                     let demand_ps = plan.miss_ps() - spec_ps;
                     let demand_earliest = self.now.max(s.spill_visible_ps);
-                    let mut first_start = u64::MAX;
                     let mut end = self.now;
                     let mut dep: Option<TaskId> = None;
                     if spec_ps > 0 {
@@ -304,7 +335,6 @@ impl Sched<'_> {
                             "restore:prefetch",
                             spec_bytes,
                         );
-                        first_start = first_start.min(res.engine.start_of(t));
                         end = res.engine.end_of(t);
                         dep = Some(t);
                     }
@@ -321,20 +351,7 @@ impl Sched<'_> {
                             "restore:demand",
                             plan.bytes() - spec_bytes,
                         );
-                        first_start = first_start.min(res.engine.start_of(t));
                         end = res.engine.end_of(t);
-                    }
-                    // Mirror the source-channel legs for the
-                    // bandwidth-timeline view (placed at the earliest
-                    // fit from the restore's first link reservation).
-                    for (source, ps, bytes) in [
-                        (res.host, plan.host_ps, plan.host_bytes),
-                        (res.ssd, plan.ssd_ps, plan.ssd_bytes),
-                    ] {
-                        if ps > 0 {
-                            res.engine
-                                .reserve_after(source, first_start, ps, "restore", bytes);
-                        }
                     }
                     *rslot = Some((plan, end));
                 }
@@ -345,8 +362,7 @@ impl Sched<'_> {
         // cold-KV fetch pipelines with compute layer by layer, but its
         // link occupancy is real: it queues behind restore traffic on
         // the shared PCIe resource.
-        // vrex-lint: allow(panicking-seam) — the overlapped driver constructs its Engine at serve start; launch_batch is only called overlapped.
-        let res = self.res.as_mut().expect("overlapped runs own resources");
+        let res = &mut self.res;
         let tag = match kind {
             Kind::Frame => "frame",
             Kind::Question => "question",

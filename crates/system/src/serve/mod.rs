@@ -93,9 +93,10 @@
 //!   exposed restores`), so a restore for stream A never genuinely
 //!   contends with stream B's traffic.
 //! * **Resource timeline** (`overlap = true`): the run threads a
-//!   [`vrex_hwsim::Engine`] with four named resources — `compute`, the
-//!   `pcie` link, the `ssd` channel, and the `host-dram` channel —
-//!   through the event loop. Batch compute, per-step KV fetch traffic,
+//!   [`vrex_hwsim::Engine`] with three named resources — `compute`
+//!   and the full-duplex PCIe link's two lanes, `pcie` (up: restores
+//!   and fetches) and `pcie-down` (demotion writebacks) — through the
+//!   event loop. Batch compute, per-step KV fetch traffic,
 //!   [`TieredKvManager`] restores, and spill/promotion writebacks are
 //!   all *scheduled tasks* whose start times come from resource
 //!   availability (earliest-fit reservation on the link for
@@ -105,7 +106,10 @@
 //!   while the current batch computes, and restores genuinely contend
 //!   with fetches on the one PCIe link. A batch completes at the max
 //!   of its compute, fetch, and restore task end times; the
-//!   `StepComplete` event applies its effects at that instant.
+//!   `StepComplete` event applies its effects at that instant. The
+//!   timeline forgets finished history behind a causal watermark (no
+//!   later reservation searches before it), so it holds the live work
+//!   rather than the run's history ([`ServeCounters::timeline_peak`]).
 //!
 //! ## Module map
 //!
@@ -159,8 +163,8 @@ pub struct ServeConfig {
     /// Execution model: `false` = serialized batch-level blocking (one
     /// step at a time, restores folded into the batch duration —
     /// byte-identical to the pre-resource-timeline scheduler), `true`
-    /// = resource-timeline execution (compute / PCIe link / SSD
-    /// channel / host-DRAM channel as contended [`vrex_hwsim::Engine`] resources,
+    /// = resource-timeline execution (compute and the PCIe link's up and
+    /// down lanes as contended [`vrex_hwsim::Engine`] resources,
     /// multiple in-flight batches, restores and fetches as scheduled
     /// link tasks).
     pub overlap: bool,
@@ -352,8 +356,9 @@ struct Sched<'a> {
     members: Vec<usize>,
     growths: Vec<(usize, u64)>,
     retired: Vec<SessionServeReport>,
-    /// Resource timeline (overlapped execution only).
-    res: Option<Resources>,
+    /// Resource timeline. Only the overlapped driver reserves on it;
+    /// its three resources are built for every serve.
+    res: Resources,
     /// Slab of in-flight batches; `StepComplete` events carry the slot.
     inflight: Vec<Option<InFlight>>,
     inflight_count: usize,
@@ -440,7 +445,7 @@ pub(crate) fn run(
         members: Vec::new(),
         growths: Vec::new(),
         retired: Vec::new(),
-        res: cfg.overlap.then(Resources::new),
+        res: Resources::new(),
         inflight: Vec::new(),
         inflight_count: 0,
         restores: Vec::new(),

@@ -187,6 +187,11 @@ pub struct ServeCounters {
     pub spec_restore_bytes: u64,
     /// Bytes demand-fetched across all tier-miss steps.
     pub demand_restore_bytes: u64,
+    /// Peak number of busy intervals the resource timeline held at
+    /// once (resource-timeline execution only; 0 when serialized). The
+    /// overlapped driver forgets finished history behind a causal
+    /// watermark, so this follows the live work, not the run's length.
+    pub timeline_peak: usize,
 }
 
 impl ServeCounters {

@@ -504,6 +504,137 @@ fn serialized_trace_matches_pre_refactor_golden_fingerprints() {
     }
 }
 
+/// The resource-timeline counterpart of the serialized goldens: three
+/// overlapped serves that spill and restore, pinned by trace
+/// fingerprint and by the two report fields the link reservations
+/// decide (`exposed_s`, `restored_bytes`), under both event queues.
+/// Captured from the driver whose engine kept every interval it ever
+/// reserved and mirrored each restore and migration onto `host-dram` /
+/// `ssd` channels; forgetting history behind the causal watermark and
+/// dropping those write-only channels must leave every value in place.
+/// Each case grows its timeline past the forget threshold, so each
+/// forgets history at least once.
+#[test]
+fn overlapped_trace_matches_golden_fingerprints() {
+    struct Golden {
+        name: &'static str,
+        sys: SystemModel,
+        plans: Vec<SessionPlan>,
+        cfg: ServeConfig,
+        len: usize,
+        hash: u64,
+        exposed_s: f64,
+        restored_bytes: u64,
+    }
+    let mut headline = PlatformSpec::vrex48();
+    headline.mem_capacity /= 2;
+    headline.hot_window_tokens = 32_768;
+    let cases = [
+        Golden {
+            name: "cluster prefetch, headline device",
+            sys: SystemModel::new(headline, Method::ReSV),
+            plans: fleet(12, 2, 10.0, 42),
+            cfg: ServeConfig {
+                admission: AdmissionPolicy::tiered_cluster(),
+                ..ServeConfig::real_time(32_000)
+            },
+            len: 2202,
+            hash: 0x2f78_bb9e_8ca2_4a51,
+            exposed_s: 0.063312419881,
+            restored_bytes: 72_512_733_984,
+        },
+        Golden {
+            name: "speculative, V-Rex48",
+            sys: SystemModel::new(PlatformSpec::vrex48(), Method::VanillaInMemory),
+            plans: fleet(20, 1, 10.0, 7),
+            cfg: ServeConfig::real_time_tiered(30_000),
+            len: 1625,
+            hash: 0xca1f_dfb3_ed5a_57b9,
+            exposed_s: 0.096422299607,
+            restored_bytes: 3_780_132_864,
+        },
+        Golden {
+            name: "demand, AGX Orin",
+            sys: SystemModel::new(PlatformSpec::agx_orin(), Method::VanillaInMemory),
+            plans: fleet(6, 1, 3.0, 5),
+            cfg: ServeConfig {
+                admission: AdmissionPolicy::tiered_demand(),
+                ..ServeConfig::real_time(30_000)
+            },
+            len: 205,
+            hash: 0xa102_0dd4_a857_c145,
+            exposed_s: 71.09772342466,
+            restored_bytes: 292_870_668_288,
+        },
+    ];
+    let model = llama();
+    let mut drift = Vec::new();
+    for c in &cases {
+        for qk in [QueueKind::Heap, QueueKind::Wheel] {
+            let cfg = c.cfg.with_overlap(true).with_queue(qk);
+            let (r, trace) = serve_traced(&c.sys, &model, &c.plans, &cfg);
+            let t = r.tiering.expect("tiered run reports tiering");
+            assert!(
+                t.spilled_bytes > 0 && t.restored_bytes > 0,
+                "{}: the case must spill and restore: {t:?}",
+                c.name
+            );
+            let (len, hash) = trace_fingerprint(&trace);
+            assert!(
+                r.counters.timeline_peak >= drivers::FORGET_MIN_HELD,
+                "{}: the case must forget history at least once",
+                c.name
+            );
+            if (len, hash, t.exposed_s, t.restored_bytes)
+                != (c.len, c.hash, c.exposed_s, c.restored_bytes)
+            {
+                drift.push(format!(
+                    "{} ({qk:?}): len {len}, hash {hash:#018x}, exposed_s {:?}, restored_bytes {}",
+                    c.name, t.exposed_s, t.restored_bytes
+                ));
+            }
+        }
+    }
+    assert!(
+        drift.is_empty(),
+        "overlapped serves drifted from the golden fingerprints:\n{}",
+        drift.join("\n")
+    );
+}
+
+/// The overlapped driver's timeline holds the live work, not the run's
+/// history: an evenly staggered cluster-tiered fleet on the headline
+/// device (the repo benchmark's `fleet_overlap` shape, 0.8 sessions/s)
+/// keeps the same concurrency at any length, so four times the sessions
+/// must not double the peak held intervals. The serialized driver never
+/// reserves on the timeline.
+#[test]
+fn overlapped_timeline_peak_stays_flat_as_the_fleet_grows() {
+    let mut headline = PlatformSpec::vrex48();
+    headline.mem_capacity /= 2;
+    headline.hot_window_tokens = 32_768;
+    let sys = SystemModel::new(headline, Method::ReSV);
+    let model = llama();
+    let cfg = ServeConfig {
+        admission: AdmissionPolicy::tiered_cluster(),
+        ..ServeConfig::real_time(32_000)
+    };
+    let serve_fleet = |sessions: usize, overlap: bool| {
+        let plans = fleet(sessions, 1, sessions as f64 / 0.8, 11);
+        serve(&sys, &model, &plans, &cfg.with_overlap(overlap)).counters
+    };
+    let (small, big) = (serve_fleet(150, true), serve_fleet(600, true));
+    assert!(
+        big.timeline_peak <= 2 * small.timeline_peak,
+        "timeline grew with fleet size: {} held at 600 sessions vs {} at 150",
+        big.timeline_peak,
+        small.timeline_peak
+    );
+    // Kept history would hold at least one compute interval per batch.
+    assert!(big.batches_formed > 4 * big.timeline_peak as u64, "{big:?}");
+    assert_eq!(serve_fleet(20, false).timeline_peak, 0);
+}
+
 /// Hand-computed PCIe contention oracle: two streams share one
 /// link. Stream A's restore holds the link; stream B's fetch,
 /// wanting to start mid-restore, is delayed by exactly the time the

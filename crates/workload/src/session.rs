@@ -94,14 +94,29 @@ impl SessionGenerator {
     /// independently (the previous scheme) skewed the window low
     /// whenever `mean` was not a multiple of `den`.
     fn centred_jitter(&mut self, mean: usize, num: usize, den: usize) -> usize {
-        let half = (mean * num + den / 2) / den;
+        let half = half_width(mean, num, den);
         self.rng.gen_range(mean.saturating_sub(half)..=mean + half)
+    }
+
+    /// Most events one interaction can hold: the longest frame run the
+    /// ±50% jitter allows, plus the question and the answer.
+    fn max_turn_events(&self) -> usize {
+        self.mean_frames + half_width(self.mean_frames, 1, 2) + 2
     }
 
     /// Generates `turns` interactions with ±50% jitter on frame counts
     /// and ±20% on token counts, each window centred on its mean.
+    ///
+    /// The event vector is allocated once, for the longest session the
+    /// jitter allows, and never grows. A vector grown push by push is
+    /// reallocated inside the allocator arena its first block came from,
+    /// and on a thread that frees blocks other threads allocated (the
+    /// caller of a sharded serve drops the reports its workers built)
+    /// that first block can belong to a worker's arena: a whole fleet's
+    /// plans then followed it there, and the process's peak resident
+    /// size varied with thread timing.
     pub fn session(&mut self, turns: usize) -> Vec<SessionEvent> {
-        let mut events = Vec::new();
+        let mut events = Vec::with_capacity(turns * self.max_turn_events());
         for _ in 0..turns {
             let frames = self.centred_jitter(self.mean_frames, 1, 2);
             for _ in 0..frames {
@@ -124,6 +139,12 @@ impl SessionGenerator {
             .map(|_| self.rng.gen_range(0..100_000))
             .collect()
     }
+}
+
+/// Half-width `round(mean * num / den)` of a jitter window centred on
+/// `mean`.
+fn half_width(mean: usize, num: usize, den: usize) -> usize {
+    (mean * num + den / 2) / den
 }
 
 #[cfg(test)]
@@ -208,6 +229,32 @@ mod tests {
             "answer mean {} not centred on 39",
             mean(a_sum)
         );
+    }
+
+    /// A session is one allocation: the longest frame draws still fit
+    /// the up-front reservation (a push past it would have regrown the
+    /// vector), and the bound is tight — some session reaches it.
+    #[test]
+    fn sessions_fit_their_up_front_allocation() {
+        for frames_per_query in [1, 7, 26] {
+            let scenario = CoinScenario {
+                frames_per_query,
+                ..CoinScenario::paper_average()
+            };
+            let mut g = SessionGenerator::with_scenario(3, scenario);
+            let per_turn = g.max_turn_events();
+            let mut longest = 0;
+            for turns in [1, 1, 2, 3] {
+                for _ in 0..200 {
+                    let events = g.session(turns);
+                    assert_eq!(events.capacity(), turns * per_turn);
+                    if turns == 1 {
+                        longest = longest.max(events.len());
+                    }
+                }
+            }
+            assert_eq!(longest, per_turn, "{frames_per_query} frames per query");
+        }
     }
 
     #[test]

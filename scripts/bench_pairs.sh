@@ -1,9 +1,11 @@
 #!/bin/sh
 # Alternating parent/change pairs of one repo-benchmark workload, run
 # with the benchmark contract's arguments (`--workload W --seed S
-# --seconds 10 --trace 0`). Prints every run's end-to-end metrics, then
-# per metric the two medians, the parent's interquartile range and how
-# many pairs the change won.
+# --seconds 10 --trace 0`). Prints every run's end-to-end metrics and
+# report digest, then per metric the two medians, the parent's
+# interquartile range and how many pairs the change won, and last
+# whether every run's report digest agreed (`digests: identical`) or
+# which pair first disagreed (`digests: DIFFER (pair k)`).
 #
 #   scripts/bench_pairs.sh <parent-rev> <workload> <pairs> [seed]
 #
@@ -45,10 +47,15 @@ build "$dir/parent" "$dir/target-parent"
 build "$root" "$dir/target-change"
 
 runs=$dir/runs.txt
+digests=$dir/digests.txt
 : >"$runs"
+: >"$digests"
 run() { # <pair> <side> <checkout>
-    line=$(cd "$3" && "$dir/target-$2/release/vrex-benchmark" --workload "$workload" \
-        --seed "$seed" --seconds 10 --trace 0 | tail -n 1)
+    out=$(cd "$3" && "$dir/target-$2/release/vrex-benchmark" --workload "$workload" \
+        --seed "$seed" --seconds 10 --trace 0) || true
+    line=$(printf '%s\n' "$out" | tail -n 1)
+    digest=$(printf '%s\n' "$out" | sed -n 's/.*report digest \([0-9a-f]*\).*/\1/p' | tail -n 1)
+    echo "$1 $2 $digest" >>"$digests"
     printf '%-4s %-7s' "$1" "$2"
     for m in $metrics; do
         name=${m%%:*}
@@ -57,7 +64,8 @@ run() { # <pair> <side> <checkout>
         printf ' %s=%s' "$name" "$value"
         echo "$1 $2 $name $value" >>"$runs"
     done
-    printf ' failed=%s\n' "$(printf '%s\n' "$line" | sed -n 's/.*"failed": \([0-9]*\).*/\1/p')"
+    printf ' failed=%s digest=%s\n' \
+        "$(printf '%s\n' "$line" | sed -n 's/.*"failed": \([0-9]*\).*/\1/p')" "$digest"
 }
 
 echo "== $workload, seed $seed, $pairs pair(s): $rev vs working tree =="
@@ -95,3 +103,10 @@ for m in $metrics; do
                 pm, q(ps, np, 0.75) - q(ps, np, 0.25), cm, pm == 0 ? 0 : cm / pm, wins, pairs
         }' "$runs"
 done
+
+# Bit-identity: every run of both sides must print the same digest.
+awk '
+    NR == 1 { first = $3 }
+    $3 != first || $3 == "" { if (!bad) bad = $1 }
+    END { print bad ? "digests: DIFFER (pair " bad ")" : "digests: identical" }
+' "$digests"
