@@ -16,16 +16,14 @@
 use vrex_bench::par::par_map_with_workers;
 use vrex_model::ModelConfig;
 use vrex_system::{
-    serve_stream, Method, PlatformSpec, QueueKind, ServeConfig, ServeReport, StepPriceCache,
-    SystemModel,
+    serve_stream, Method, PlatformSpec, ServeConfig, ServeReport, StepPriceCache, SystemModel,
 };
 use vrex_workload::traffic::OpenLoopConfig;
 
-/// One grid point: fleet size × admission × event core.
+/// One grid point: fleet size × admission.
 struct Unit {
     sessions: usize,
     tiered: bool,
-    queue: QueueKind,
     seed: u64,
 }
 
@@ -33,14 +31,11 @@ fn grid() -> Vec<Unit> {
     let mut units = Vec::new();
     for &sessions in &[50usize, 200] {
         for &tiered in &[false, true] {
-            for &queue in &[QueueKind::Heap, QueueKind::Wheel] {
-                units.push(Unit {
-                    sessions,
-                    tiered,
-                    queue,
-                    seed: 11,
-                });
-            }
+            units.push(Unit {
+                sessions,
+                tiered,
+                seed: 11,
+            });
         }
     }
     units
@@ -55,8 +50,7 @@ fn measure(u: &Unit) -> ServeReport {
         ServeConfig::real_time_tiered(32_000)
     } else {
         ServeConfig::real_time(32_000)
-    }
-    .with_queue(u.queue);
+    };
     let mut source = OpenLoopConfig {
         sessions: u.sessions,
         arrival_rate_per_s: 1.2,
@@ -77,10 +71,9 @@ fn fleet_counters_are_invariant_to_worker_count() {
         assert_eq!(sequential.len(), contended.len());
         for (u, (a, b)) in units.iter().zip(sequential.iter().zip(&contended)) {
             let label = format!(
-                "{} sessions, {}, {:?}, {} workers",
+                "{} sessions, {}, {} workers",
                 u.sessions,
                 if u.tiered { "tiered" } else { "reject" },
-                u.queue,
                 n_workers
             );
             assert_eq!(a, b, "report drifted: {label}");
@@ -91,29 +84,25 @@ fn fleet_counters_are_invariant_to_worker_count() {
 
 #[test]
 fn working_set_stays_flat_as_the_fleet_grows() {
-    for queue in [QueueKind::Heap, QueueKind::Wheel] {
-        let counters = |sessions| {
-            measure(&Unit {
-                sessions,
-                tiered: false,
-                queue,
-                seed: 11,
-            })
-            .counters
-        };
-        // Recorded: 42/64/13 at 10³ vs 46/64/19 at 10⁴; 2× headroom
-        // covers the start-up transient.
-        let (small, big) = (counters(1_000), counters(10_000));
-        for (label, s, b) in [
-            ("queue_peak", small.queue_peak, big.queue_peak),
-            ("active_peak", small.active_peak, big.active_peak),
-            ("pending_peak", small.pending_peak, big.pending_peak),
-        ] {
-            assert!(
-                b <= 2 * s,
-                "working set grew with fleet size ({queue:?}): {label} is {b} at \
-                 10000 sessions vs {s} at 1000"
-            );
-        }
+    let counters = |sessions| {
+        measure(&Unit {
+            sessions,
+            tiered: false,
+            seed: 11,
+        })
+        .counters
+    };
+    // Recorded: 42/64/13 at 10³ vs 46/64/19 at 10⁴; 2× headroom
+    // covers the start-up transient.
+    let (small, big) = (counters(1_000), counters(10_000));
+    for (label, s, b) in [
+        ("queue_peak", small.queue_peak, big.queue_peak),
+        ("active_peak", small.active_peak, big.active_peak),
+        ("pending_peak", small.pending_peak, big.pending_peak),
+    ] {
+        assert!(
+            b <= 2 * s,
+            "working set grew with fleet size: {label} is {b} at 10000 sessions vs {s} at 1000"
+        );
     }
 }

@@ -169,29 +169,6 @@ impl TierPath {
         }
         slowest
     }
-
-    /// Duration (ps) of restoring `host_bytes` from host DRAM and
-    /// `ssd_bytes` from the SSD up to the device. Both sources share
-    /// the one PCIe link, so the two migrations serialise.
-    pub fn restore_ps(&self, host_bytes: u64, ssd_bytes: u64, chunk_bytes: u64) -> u64 {
-        self.migrate_ps(MemTier::Host, MemTier::Device, host_bytes, chunk_bytes)
-            + self.migrate_ps(MemTier::Ssd, MemTier::Device, ssd_bytes, chunk_bytes)
-    }
-
-    /// Duration (ps) of migrating a contiguous run of `clusters`
-    /// hash clusters of `cluster_bytes` each between two tiers. The
-    /// run streams as one transfer DMA-chunked at the cluster size —
-    /// the cluster-granular cold-data path in `vrex_system::memory`
-    /// moves coalesced cluster runs, so its chunk *is* the cluster.
-    pub fn cluster_run_ps(
-        &self,
-        from: MemTier,
-        to: MemTier,
-        clusters: u64,
-        cluster_bytes: u64,
-    ) -> u64 {
-        self.migrate_ps(from, to, clusters * cluster_bytes, cluster_bytes)
-    }
 }
 
 #[cfg(test)]
@@ -251,7 +228,9 @@ mod tests {
     #[test]
     fn cluster_run_is_pcie_bound_hand_computed_oracle() {
         // A coalesced run of 8 × 128 KiB ReSV clusters, host → device
-        // on PCIe 4.0 ×16, DMA-chunked at the cluster size. By hand:
+        // on PCIe 4.0 ×16, DMA-chunked at the cluster size (the
+        // cluster-granular cold-data path in `vrex_system::memory`
+        // moves coalesced runs, so its chunk *is* the cluster). By hand:
         //   bytes  = 8·131_072 = 1_048_576;  chunks = 8
         //   TLPs   = 1_048_576/256 + 8 = 4104
         //   wire   = 1_048_576 + 4104·24 = 1_147_072 B
@@ -263,17 +242,8 @@ mod tests {
         let wire_bytes = bytes + tlps * 24;
         let expected = seconds_to_ps(wire_bytes as f64 / 32.0e9) + 8 * 400_000;
         assert_eq!(
-            p.cluster_run_ps(MemTier::Host, MemTier::Device, 8, cluster),
+            p.migrate_ps(MemTier::Host, MemTier::Device, bytes, cluster),
             expected
-        );
-        // One run of n clusters is exactly one chunked migration.
-        assert_eq!(
-            p.cluster_run_ps(MemTier::Host, MemTier::Device, 8, cluster),
-            p.migrate_ps(MemTier::Host, MemTier::Device, bytes, cluster)
-        );
-        assert_eq!(
-            p.cluster_run_ps(MemTier::Ssd, MemTier::Device, 0, cluster),
-            0
         );
     }
 

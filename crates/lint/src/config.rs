@@ -1,9 +1,8 @@
 //! Per-crate rule configuration.
 //!
 //! The workspace is not uniform: the six simulation crates carry the
-//! bit-exactness contract (golden-trace fingerprints, heap-vs-wheel
-//! identical event sequences, streamed-vs-materialized report
-//! equality), `vrex-tensor` is deterministic-by-construction float
+//! bit-exactness contract (golden-trace fingerprints, traced-vs-untraced
+//! and streamed-vs-materialized report equality), `vrex-tensor` is deterministic-by-construction float
 //! math, and `crates/bench` only renders simulated facts (host time is
 //! measured by the repo benchmark under `benchmark/`, outside this
 //! workspace).

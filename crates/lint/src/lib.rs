@@ -4,9 +4,8 @@
 //! pass for the V-Rex reproduction.
 //!
 //! The whole simulator rests on bit-exact determinism: golden-trace
-//! fingerprints, heap-vs-wheel identical event sequences,
-//! streamed-vs-materialized report equality, and integer-picosecond
-//! time end to end. Those invariants were defended only by tests that
+//! fingerprints, traced-vs-untraced and streamed-vs-materialized
+//! report equality, and integer-picosecond time end to end. Those invariants were defended only by tests that
 //! catch violations *after* they ship; this crate machine-checks them
 //! at CI time, before a `HashMap` iteration or an `f64` sneaking into a
 //! `_ps` expression silently breaks reproducibility.

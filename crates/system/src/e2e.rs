@@ -179,16 +179,6 @@ impl SystemModel {
         }
     }
 
-    /// Tier-miss latency (ps): restoring `host_bytes` from host DRAM
-    /// and `ssd_bytes` from the SSD to the device, streamed in
-    /// `chunk_bytes` blocks. The two sources share one PCIe link, so
-    /// their transfers serialise ([`TierPath::restore_ps`] — the same
-    /// pricing the tiered serving path charges per step).
-    pub fn restore_migration_ps(&self, host_bytes: u64, ssd_bytes: u64, chunk_bytes: u64) -> u64 {
-        self.tier_path()
-            .restore_ps(host_bytes, ssd_bytes, chunk_bytes)
-    }
-
     fn vision_ps(&self, batch: usize) -> u64 {
         let b = batch as u64;
         let t = match &self.platform.compute {
@@ -544,16 +534,5 @@ mod tests {
         let edge_caps = edge.kv_tier_capacities(&model);
         assert_eq!(edge_caps.host_bytes, 0, "unified memory: no host tier");
         assert!(edge_caps.ssd_bytes > 0);
-    }
-
-    #[test]
-    fn restore_migration_serialises_both_sources() {
-        let sys = SystemModel::new(PlatformSpec::vrex48().with_nvme_tier(), Method::ReSV);
-        let chunk = 256 << 10;
-        let host_only = sys.restore_migration_ps(1 << 28, 0, chunk);
-        let ssd_only = sys.restore_migration_ps(0, 1 << 28, chunk);
-        let both = sys.restore_migration_ps(1 << 28, 1 << 28, chunk);
-        assert_eq!(both, host_only + ssd_only);
-        assert_eq!(sys.restore_migration_ps(0, 0, chunk), 0);
     }
 }

@@ -48,7 +48,7 @@ pub mod realtime;
 pub mod serve;
 
 pub use e2e::{EnergyBreakdown, StepResult, SystemModel};
-pub use eventq::{EventQueue, QueueKind, TimeKeyed, TimerWheel};
+pub use eventq::{EventQueue, QueueKind, TimeKeyed};
 pub use memory::{
     AdmissionPolicy, MigrationTask, PrefetchMode, RestorePlan, TierStats, TieredKvManager,
 };

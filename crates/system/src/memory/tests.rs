@@ -78,6 +78,27 @@ fn host_overflow_cascades_to_the_ssd() {
 }
 
 #[test]
+fn two_restore_legs_serialise_on_one_link() {
+    // A 2 GiB stream on a 1 GiB device over a ½ GiB host tier: the
+    // overflow fills the host and the rest lands on the SSD, so its
+    // restore has a host leg and an SSD leg crossing the one link.
+    let mut m = server_manager(GIB, GIB / 2, 64 * GIB);
+    m.admit(0, 2 * GIB, 0);
+    let r = *m.residency(0).unwrap();
+    assert_eq!((r.host_bytes, r.ssd_bytes), (GIB / 2, GIB / 2));
+    let (plan, exposed_ps) = m.step_restore(0, 1.0, false, 0, &NoPrefetch);
+    let leg =
+        |from| server_path().migrate_ps(from, MemTier::Device, GIB / 2, MIGRATION_CHUNK_BYTES);
+    assert_eq!(
+        (plan.host_ps, plan.ssd_ps),
+        (leg(MemTier::Host), leg(MemTier::Ssd))
+    );
+    assert!(plan.host_ps > 0 && plan.ssd_ps > 0);
+    assert_eq!(plan.miss_ps(), plan.host_ps + plan.ssd_ps);
+    assert_eq!(exposed_ps, plan.miss_ps(), "demand fetch hides nothing");
+}
+
+#[test]
 fn release_promotes_the_hottest_spilled_stream() {
     let mut m = server_manager(4 * GIB, 8 * GIB, 0);
     m.admit(0, 2 * GIB, 0);

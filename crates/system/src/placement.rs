@@ -590,7 +590,6 @@ pub fn serve_sharded_traced_with_workers(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eventq::QueueKind;
     use crate::platform::PlatformSpec;
     use crate::serve::{serve_traced, TraceKind};
     use vrex_hwsim::interconnect::{CopySpan, InterconnectConfig};
@@ -819,8 +818,8 @@ mod tests {
     }
 
     /// Satellite golden traces: the 2-device first-fit scenario's
-    /// per-device scheduler traces, fingerprinted under both drivers
-    /// and asserted identical under both queue kinds. The device is a
+    /// per-device scheduler traces, fingerprinted under both drivers.
+    /// The device is a
     /// memory-constrained V-Rex48 (32 GiB HBM, 32K-token hot window →
     /// 4 GiB resident per stream against a ~14 GiB KV budget) under
     /// reject-only admission, so first-fit genuinely overflows onto
@@ -846,25 +845,18 @@ mod tests {
             ),
         ];
         for (overlap, expected) in golden {
-            for queue in [QueueKind::Heap, QueueKind::Wheel] {
-                let cfg = ServeConfig::real_time(32_000)
-                    .with_overlap(overlap)
-                    .with_queue(queue);
-                let (_, traces) = serve_sharded_traced_with_workers(
-                    &pool,
-                    Method::ReSV,
-                    &model,
-                    &plans,
-                    &cfg,
-                    PlacementPolicy::FirstFit,
-                    host_workers(),
-                );
-                let got = [trace_fingerprint(&traces[0]), trace_fingerprint(&traces[1])];
-                assert_eq!(
-                    got, expected,
-                    "overlap={overlap} queue={queue:?}: fingerprints drifted"
-                );
-            }
+            let cfg = ServeConfig::real_time(32_000).with_overlap(overlap);
+            let (_, traces) = serve_sharded_traced_with_workers(
+                &pool,
+                Method::ReSV,
+                &model,
+                &plans,
+                &cfg,
+                PlacementPolicy::FirstFit,
+                host_workers(),
+            );
+            let got = [trace_fingerprint(&traces[0]), trace_fingerprint(&traces[1])];
+            assert_eq!(got, expected, "overlap={overlap}: fingerprints drifted");
         }
     }
 }

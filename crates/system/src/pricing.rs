@@ -17,6 +17,11 @@
 //! property test in `tests/props.rs`) pin that a cached result is
 //! bit-identical to uncached pricing.
 //!
+//! The key says nothing about how a step will execute: the serialized
+//! and the overlapped driver consult the same closed forms, so a cache
+//! shared across both (as `tier_capacity --overlap` shares one) serves
+//! each shape from one entry.
+//!
 //! ## Parallel sharded serving: fork, serve, absorb
 //!
 //! Parallel sharded serving runs N per-device serve loops on scoped
@@ -42,37 +47,15 @@ const KIND_FRAME: u64 = 0;
 const KIND_QUESTION: u64 = 1;
 const KIND_DECODE: u64 = 2;
 
-/// Which execution semantics a price is being consulted under — the
-/// **resource context** of the key.
-///
-/// The serialized scheduler treats a priced step as one engine-blocking
-/// unit (its latency is the whole story); the overlapped
-/// resource-timeline scheduler decomposes the same step into a compute
-/// occupancy plus link tasks (`fetch_ps`/`fetch_bytes` on the PCIe
-/// resource) whose start times come from resource availability. Both
-/// contexts consult the same closed forms today, but a sweep such as
-/// `tier_capacity --overlap` shares **one** cache across serialized and
-/// overlapped serves of the same platform — the context bit keeps the
-/// two key spaces from aliasing, so a future overlapped-context
-/// specialisation (e.g. compute-only occupancy pricing) can never
-/// silently repin the byte-identical serialized headline rows.
+/// Selects nothing; kept because `benchmark/` is frozen; deleted by ROADMAP S1a.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecContext {
-    /// Batch-level blocking execution (one step at a time).
+    /// Serialized serving.
     #[default]
     Serialized,
-    /// Resource-timeline execution (compute + link tasks, multiple
-    /// in-flight batches).
+    /// Overlapped serving.
     Overlapped,
-}
-
-impl ExecContext {
-    fn bit(self) -> u64 {
-        match self {
-            ExecContext::Serialized => 0,
-            ExecContext::Overlapped => 1,
-        }
-    }
 }
 
 /// A minimal multiplicative hasher (FxHash-style) for the fixed-width
@@ -108,28 +91,15 @@ impl Hasher for PriceKeyHasher {
     }
 }
 
-/// Packed price key: kind (2 bits) | resource context (1 bit) | batch
-/// (13 bits) | new_tokens (16 bits) | cache_tokens (32 bits). The
-/// serving sweeps stay far inside each field; [`StepPriceCache`] falls
-/// back to unmemoized pricing when a dimension overflows its field
-/// instead of aliasing.
-fn pack_key(
-    kind: u64,
-    ctx: ExecContext,
-    cache_tokens: usize,
-    batch: usize,
-    new_tokens: usize,
-) -> Option<u64> {
-    if batch >= (1 << 13) || new_tokens >= (1 << 16) || cache_tokens >= (1 << 32) {
+/// Packed price key: kind (2 bits) | batch (14 bits) | new_tokens
+/// (16 bits) | cache_tokens (32 bits). The serving sweeps stay far
+/// inside each field; [`StepPriceCache`] falls back to unmemoized
+/// pricing when a dimension overflows its field instead of aliasing.
+fn pack_key(kind: u64, cache_tokens: usize, batch: usize, new_tokens: usize) -> Option<u64> {
+    if batch >= (1 << 14) || new_tokens >= (1 << 16) || cache_tokens >= (1 << 32) {
         return None;
     }
-    Some(
-        kind << 62
-            | ctx.bit() << 61
-            | (batch as u64) << 48
-            | (new_tokens as u64) << 32
-            | cache_tokens as u64,
-    )
+    Some(kind << 62 | (batch as u64) << 48 | (new_tokens as u64) << 32 | cache_tokens as u64)
 }
 
 /// Memoized [`StepResult`] pricing for one platform+method+model.
@@ -205,48 +175,65 @@ impl StepPriceCache {
         r
     }
 
-    /// Memoized [`SystemModel::frame_step`] under `ctx` semantics.
-    pub fn frame_step_in(
-        &mut self,
-        ctx: ExecContext,
-        cache_tokens: usize,
-        batch: usize,
-    ) -> StepResult {
-        let key = pack_key(
-            KIND_FRAME,
-            ctx,
-            cache_tokens,
-            batch,
-            self.model.tokens_per_frame,
-        );
+    /// Memoized [`SystemModel::frame_step`].
+    pub fn frame_step(&mut self, cache_tokens: usize, batch: usize) -> StepResult {
+        let key = pack_key(KIND_FRAME, cache_tokens, batch, self.model.tokens_per_frame);
         self.priced(key, |sys, model| sys.frame_step(model, cache_tokens, batch))
     }
 
-    /// Memoized [`SystemModel::question_step`] under `ctx` semantics.
-    pub fn question_step_in(
+    /// Memoized [`SystemModel::question_step`].
+    pub fn question_step(
         &mut self,
-        ctx: ExecContext,
         cache_tokens: usize,
         batch: usize,
         tokens: usize,
     ) -> StepResult {
-        let key = pack_key(KIND_QUESTION, ctx, cache_tokens, batch, tokens);
+        let key = pack_key(KIND_QUESTION, cache_tokens, batch, tokens);
         self.priced(key, |sys, model| {
             sys.question_step(model, cache_tokens, batch, tokens)
         })
     }
 
-    /// Memoized [`SystemModel::decode_step`] under `ctx` semantics.
-    pub fn decode_step_in(
-        &mut self,
-        ctx: ExecContext,
-        cache_tokens: usize,
-        batch: usize,
-    ) -> StepResult {
-        let key = pack_key(KIND_DECODE, ctx, cache_tokens, batch, 1);
+    /// Memoized [`SystemModel::decode_step`].
+    pub fn decode_step(&mut self, cache_tokens: usize, batch: usize) -> StepResult {
+        let key = pack_key(KIND_DECODE, cache_tokens, batch, 1);
         self.priced(key, |sys, model| {
             sys.decode_step(model, cache_tokens, batch)
         })
+    }
+
+    /// Selects nothing; kept because `benchmark/` is frozen; deleted by ROADMAP S1a.
+    #[doc(hidden)]
+    pub fn frame_step_in(
+        &mut self,
+        _: ExecContext,
+        cache_tokens: usize,
+        batch: usize,
+    ) -> StepResult {
+        self.frame_step(cache_tokens, batch)
+    }
+
+    /// Selects nothing; kept because `benchmark/` is frozen; deleted by ROADMAP S1a.
+    #[doc(hidden)]
+    pub fn question_step_in(
+        &mut self,
+        _: ExecContext,
+        cache_tokens: usize,
+        batch: usize,
+        tokens: usize,
+    ) -> StepResult {
+        self.question_step(cache_tokens, batch, tokens)
+    }
+
+    /// Selects nothing; kept because `benchmark/` is frozen; deleted by ROADMAP S1a.
+    #[doc(hidden)]
+    pub fn decode_step_in(
+        &mut self,
+        _: ExecContext,
+        cache_tokens: usize,
+        batch: usize,
+    ) -> StepResult {
+        self.decode_step(cache_tokens, batch)
     }
 
     /// A private copy for one worker: the same platform, model and
@@ -280,8 +267,6 @@ mod tests {
     use crate::method::Method;
     use crate::platform::PlatformSpec;
 
-    const SER: ExecContext = ExecContext::Serialized;
-
     #[test]
     fn cached_pricing_is_bit_identical_to_uncached() {
         // Oracle over a methods × platforms × cache × batch grid: the
@@ -310,19 +295,19 @@ mod tests {
                     for batch in [1usize, 4, 24] {
                         for _ in 0..2 {
                             assert_eq!(
-                                cache.frame_step_in(SER, cache_tokens, batch),
+                                cache.frame_step(cache_tokens, batch),
                                 sys.frame_step(&model, cache_tokens, batch),
                                 "{} frame {cache_tokens}x{batch}",
                                 sys.label()
                             );
                             assert_eq!(
-                                cache.decode_step_in(SER, cache_tokens, batch),
+                                cache.decode_step(cache_tokens, batch),
                                 sys.decode_step(&model, cache_tokens, batch),
                                 "{} decode {cache_tokens}x{batch}",
                                 sys.label()
                             );
                             assert_eq!(
-                                cache.question_step_in(SER, cache_tokens, batch, 25),
+                                cache.question_step(cache_tokens, batch, 25),
                                 sys.question_step(&model, cache_tokens, batch, 25),
                                 "{} question {cache_tokens}x{batch}",
                                 sys.label()
@@ -341,7 +326,7 @@ mod tests {
         let model = ModelConfig::llama3_8b();
         let mut cache = StepPriceCache::new(&sys, &model);
         for _ in 0..100 {
-            cache.frame_step_in(SER, 8_000, 4);
+            cache.frame_step(8_000, 4);
         }
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.hits(), 99);
@@ -357,13 +342,13 @@ mod tests {
         let sys = SystemModel::new(PlatformSpec::vrex8(), Method::ReSV);
         let model = ModelConfig::llama3_8b();
         let mut cache = StepPriceCache::new(&sys, &model);
-        let f = cache.frame_step_in(SER, 10_000, 2);
-        let d = cache.decode_step_in(SER, 10_000, 2);
-        let q = cache.question_step_in(SER, 10_000, 2, 25);
+        let f = cache.frame_step(10_000, 2);
+        let d = cache.decode_step(10_000, 2);
+        let q = cache.question_step(10_000, 2, 25);
         assert_ne!(f, d);
         assert_ne!(f, q);
         assert_eq!(cache.len(), 3);
-        assert_eq!(cache.frame_step_in(SER, 10_000, 2), f);
+        assert_eq!(cache.frame_step(10_000, 2), f);
     }
 
     #[test]
@@ -372,25 +357,22 @@ mod tests {
         let model = ModelConfig::llama3_8b();
         let mut cache = StepPriceCache::new(&sys, &model);
         let huge = 1usize << 33; // overflows the 32-bit cache field
-        assert_eq!(
-            cache.frame_step_in(SER, huge, 1),
-            sys.frame_step(&model, huge, 1)
-        );
+        assert_eq!(cache.frame_step(huge, 1), sys.frame_step(&model, huge, 1));
         assert_eq!(cache.len(), 0, "unpackable keys are not stored");
         assert_eq!(cache.misses(), 1);
-        // The batch field shrank to 13 bits for the context bit; an
-        // 8192-stream batch falls back rather than aliasing.
+        // The batch field is 14 bits: a 16384-stream batch falls back
+        // rather than aliasing.
         assert_eq!(
-            cache.frame_step_in(SER, 1_000, 1 << 13),
-            sys.frame_step(&model, 1_000, 1 << 13)
+            cache.frame_step(1_000, 1 << 14),
+            sys.frame_step(&model, 1_000, 1 << 14)
         );
         assert_eq!(cache.len(), 0);
     }
 
     /// A fork prices bit-identically to its parent (and so to uncached
     /// pricing) on repeated batch shapes — inherited hits, fresh misses
-    /// then hits, both contexts, out-of-range fallbacks — with the same
-    /// hit/miss trajectory, and absorbing it lands every fresh shape.
+    /// then hits, out-of-range fallbacks — with the same hit/miss
+    /// trajectory, and absorbing it lands every fresh shape.
     #[test]
     fn fork_is_bit_identical_to_its_parent_and_to_uncached_pricing() {
         let model = ModelConfig::llama3_8b();
@@ -398,33 +380,28 @@ mod tests {
         // Warm the parent with a partial shape set, then fork it.
         let mut parent = StepPriceCache::new(&sys, &model);
         for batch in [1usize, 4] {
-            parent.frame_step_in(SER, 16_000, batch);
-            parent.decode_step_in(SER, 16_000, batch);
+            parent.frame_step(16_000, batch);
+            parent.decode_step(16_000, batch);
         }
         let warmed = parent.len();
         let mut mutable = parent.clone();
         let mut fork = parent.fork();
         assert_eq!((fork.len(), fork.hits(), fork.misses()), (warmed, 0, 0));
         // Repeated shapes spanning inherited hits (16K), fresh misses
-        // then hits (40K), both contexts, and the unpackable fallback.
+        // then hits (40K), and the unpackable fallback.
         let huge = 1usize << 33;
         for _ in 0..2 {
-            for ctx in [ExecContext::Serialized, ExecContext::Overlapped] {
-                for cache_tokens in [16_000usize, 40_000, huge] {
-                    for batch in [1usize, 4, 24] {
-                        let frame = fork.frame_step_in(ctx, cache_tokens, batch);
-                        assert_eq!(frame, mutable.frame_step_in(ctx, cache_tokens, batch));
-                        assert_eq!(frame, sys.frame_step(&model, cache_tokens, batch));
-                        let decode = fork.decode_step_in(ctx, cache_tokens, batch);
-                        assert_eq!(decode, mutable.decode_step_in(ctx, cache_tokens, batch));
-                        assert_eq!(decode, sys.decode_step(&model, cache_tokens, batch));
-                        let question = fork.question_step_in(ctx, cache_tokens, batch, 25);
-                        assert_eq!(
-                            question,
-                            mutable.question_step_in(ctx, cache_tokens, batch, 25)
-                        );
-                        assert_eq!(question, sys.question_step(&model, cache_tokens, batch, 25));
-                    }
+            for cache_tokens in [16_000usize, 40_000, huge] {
+                for batch in [1usize, 4, 24] {
+                    let frame = fork.frame_step(cache_tokens, batch);
+                    assert_eq!(frame, mutable.frame_step(cache_tokens, batch));
+                    assert_eq!(frame, sys.frame_step(&model, cache_tokens, batch));
+                    let decode = fork.decode_step(cache_tokens, batch);
+                    assert_eq!(decode, mutable.decode_step(cache_tokens, batch));
+                    assert_eq!(decode, sys.decode_step(&model, cache_tokens, batch));
+                    let question = fork.question_step(cache_tokens, batch, 25);
+                    assert_eq!(question, mutable.question_step(cache_tokens, batch, 25));
+                    assert_eq!(question, sys.question_step(&model, cache_tokens, batch, 25));
                 }
             }
         }
@@ -438,14 +415,12 @@ mod tests {
         assert_eq!(parent.hits(), mutable.hits());
         assert_eq!(parent.misses(), mutable.misses());
         // Every shape now hits the absorbed parent without pricing.
-        for ctx in [ExecContext::Serialized, ExecContext::Overlapped] {
-            for cache_tokens in [16_000usize, 40_000] {
-                for batch in [1usize, 4, 24] {
-                    assert_eq!(
-                        parent.frame_step_in(ctx, cache_tokens, batch),
-                        mutable.frame_step_in(ctx, cache_tokens, batch),
-                    );
-                }
+        for cache_tokens in [16_000usize, 40_000] {
+            for batch in [1usize, 4, 24] {
+                assert_eq!(
+                    parent.frame_step(cache_tokens, batch),
+                    mutable.frame_step(cache_tokens, batch),
+                );
             }
         }
         assert_eq!(parent.misses(), mutable.misses(), "absorbed shapes all hit");
@@ -464,7 +439,7 @@ mod tests {
         let shapes = [(&mut a, [4usize, 8, 4]), (&mut b, [4, 16, 16])];
         for (fork, batches) in shapes {
             for batch in batches {
-                fork.frame_step_in(SER, 8_000, batch);
+                fork.frame_step(8_000, batch);
             }
         }
         let mut ab = parent.clone();
@@ -478,43 +453,11 @@ mod tests {
             assert_eq!((cache.hits(), cache.misses()), (2, 4), "counters add up");
             for batch in [4usize, 8, 16] {
                 assert_eq!(
-                    cache.frame_step_in(SER, 8_000, batch),
+                    cache.frame_step(8_000, batch),
                     sys.frame_step(&model, 8_000, batch)
                 );
             }
             assert_eq!(cache.misses(), 4, "every absorbed shape hits");
         }
-    }
-
-    #[test]
-    fn execution_contexts_key_separately() {
-        // A shared cache serving both a serialized and an overlapped
-        // sweep must keep the two contexts' keys apart: same shape,
-        // different context, two distinct entries — and both contexts
-        // remain bit-identical to the direct pricing.
-        let sys = SystemModel::new(PlatformSpec::vrex48(), Method::ReSV);
-        let model = ModelConfig::llama3_8b();
-        let mut cache = StepPriceCache::new(&sys, &model);
-        let direct = sys.frame_step(&model, 8_000, 4);
-        assert_eq!(
-            cache.frame_step_in(ExecContext::Serialized, 8_000, 4),
-            direct
-        );
-        assert_eq!(
-            cache.frame_step_in(ExecContext::Overlapped, 8_000, 4),
-            direct
-        );
-        assert_eq!(cache.len(), 2, "one entry per context");
-        assert_eq!(cache.misses(), 2);
-        assert_eq!(cache.hits(), 0, "contexts never alias");
-        // Hits stay within their own context.
-        cache.frame_step_in(ExecContext::Overlapped, 8_000, 4);
-        assert_eq!(cache.hits(), 1);
-        // Decode and question shapes split the same way.
-        cache.decode_step_in(ExecContext::Serialized, 8_000, 4);
-        cache.decode_step_in(ExecContext::Overlapped, 8_000, 4);
-        cache.question_step_in(ExecContext::Serialized, 8_000, 4, 25);
-        cache.question_step_in(ExecContext::Overlapped, 8_000, 4, 25);
-        assert_eq!(cache.len(), 6);
     }
 }

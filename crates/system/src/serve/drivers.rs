@@ -9,7 +9,6 @@ use vrex_hwsim::engine::{Engine, ResourceId, TaskId};
 use super::stream::{live, live_mut, Event, EventKind, Kind};
 use super::{Sched, TraceKind};
 use crate::e2e::StepResult;
-use crate::pricing::ExecContext;
 
 /// Batches concurrently in flight under the resource-timeline model
 /// (double-buffering: the next batch's restores stream while the
@@ -189,7 +188,7 @@ impl Sched<'_> {
             }
 
             // Form the batch and execute it as one blocking unit.
-            let (kind, step) = self.form_batch(ExecContext::Serialized);
+            let (kind, step) = self.form_batch();
             let penalty_ps = self.serialized_restore_penalty(kind, &step);
             let completion = self.now + step.latency_ps + penalty_ps;
             self.now = completion;
@@ -287,7 +286,7 @@ impl Sched<'_> {
     /// charged to the members (and to [`TierReport::exposed_s`]).
     fn launch_batch(&mut self) {
         self.forget_settled_history();
-        let (kind, step) = self.form_batch(ExecContext::Overlapped);
+        let (kind, step) = self.form_batch();
         let batch = self.members.len();
         let generation = kind == Kind::Decode;
         let ratio = self.sys.method.ratio(generation);

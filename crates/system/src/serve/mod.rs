@@ -19,8 +19,7 @@
 //! ([`SessionPlan::arrival_ps`]), the step model's `latency_ps` values
 //! add onto the clock exactly, and float seconds appear only in the
 //! final report. Time advances through an [`EventQueue`] of wake-up
-//! events — a binary heap or a hierarchical timer wheel, selected by
-//! [`ServeConfig::queue`] and byte-identical in outcome (see
+//! events, a binary heap over `(time, kind, payload)` (see
 //! [`crate::eventq`]):
 //!
 //! * **Arrival** — a planned session reaches the box;
@@ -168,11 +167,8 @@ pub struct ServeConfig {
     /// multiple in-flight batches, restores and fetches as scheduled
     /// link tasks).
     pub overlap: bool,
-    /// Event-queue implementation ([`QueueKind::Heap`] is the
-    /// reference; [`QueueKind::Wheel`] — the default — is the
-    /// fleet-scale timer wheel). Both produce byte-identical reports
-    /// and traces — pinned by the golden-fingerprint and property
-    /// tests — so this is purely a performance choice.
+    /// Selects nothing; kept because `benchmark/` is frozen; deleted by ROADMAP S1a.
+    #[doc(hidden)]
     pub queue: QueueKind,
 }
 
@@ -206,8 +202,8 @@ impl ServeConfig {
         self
     }
 
-    /// The same configuration under the chosen event-queue
-    /// implementation.
+    /// Selects nothing; kept because `benchmark/` is frozen; deleted by ROADMAP S1a.
+    #[doc(hidden)]
     #[must_use]
     pub fn with_queue(mut self, queue: QueueKind) -> Self {
         self.queue = queue;
@@ -233,8 +229,8 @@ pub fn serve(
 
 /// [`serve`] against a caller-owned price cache (the platform, method,
 /// and model are the ones the cache was built over). One cache may be
-/// shared across serialized and overlapped runs — the two execution
-/// contexts key separately ([`crate::pricing::ExecContext`]).
+/// shared across serialized and overlapped runs: pricing does not
+/// depend on the execution model, so both hit the same entries.
 pub fn serve_with_cache(
     prices: &mut StepPriceCache,
     plans: &[SessionPlan],
@@ -407,11 +403,6 @@ pub(crate) fn run(
     };
     let max_wait_ps = seconds_to_ps(cfg.max_wait_s);
     let frame_interval_ps = seconds_to_ps(1.0 / cfg.fps);
-    // The event queue holds one wake-up per *live concern* (armed
-    // arrival, unexpired patience, pending head item, in-flight
-    // batch), not one per fleet member: pre-size it for a bounded
-    // slice of the fleet hint so 10⁶-session runs don't allocate a
-    // fleet-sized heap up front.
     let hint = source.remaining_hint();
     let mut sched = Sched {
         prices,
@@ -427,7 +418,8 @@ pub(crate) fn run(
         next_plan: None,
         offered: 0,
         pending: Vec::new(),
-        events: EventQueue::new(cfg.queue, hint.clamp(16, 4096)),
+        // One wake-up per live concern: ≈ 48 even at 10⁶ sessions.
+        events: EventQueue::with_capacity(64),
         slab: Vec::new(),
         free_slots: Vec::new(),
         by_id: HashMap::default(),

@@ -138,11 +138,10 @@ impl PartialEq for ServeReport {
 /// these as `system.serve.*`; they are the observability needed to see
 /// where the next 10× of simulator throughput goes.
 ///
-/// Fully deterministic for a given (plans, config) pair — including
-/// across [`crate::eventq::QueueKind`]s, which the property tests assert — but *not*
-/// part of [`ServeReport`] equality, because the serialized and
-/// overlapped drivers do different amounts of loop work for identical
-/// outcomes.
+/// Fully deterministic for a given (plans, config) pair, which the
+/// property tests assert, but *not* part of [`ServeReport`] equality,
+/// because the serialized and overlapped drivers do different amounts
+/// of loop work for identical outcomes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeCounters {
     /// Arrival events fired.

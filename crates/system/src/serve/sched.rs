@@ -9,7 +9,6 @@ use super::report::rejected_report;
 use super::stream::{live, live_mut, Event, EventKind, Kind, Stream, Work};
 use super::Sched;
 use crate::e2e::StepResult;
-use crate::pricing::ExecContext;
 
 impl Sched<'_> {
     pub(super) fn mark_ready_by_id(&mut self, id: usize) {
@@ -272,8 +271,8 @@ impl Sched<'_> {
     /// the set is keyed `(seq, slot)`, so ascending iteration yields
     /// admission order, the order the historical active-vector scan
     /// produced — priced at the batch's worst-case cache length (one
-    /// memoized lookup per repeated shape per context).
-    pub(super) fn form_batch(&mut self, ctx: ExecContext) -> (Kind, StepResult) {
+    /// memoized lookup per repeated shape).
+    pub(super) fn form_batch(&mut self) -> (Kind, StepResult) {
         let mut kind = Kind::Decode;
         for k in [Kind::Question, Kind::Frame] {
             if self.ready[k as usize].len() >= self.ready[kind as usize].len() {
@@ -294,7 +293,7 @@ impl Sched<'_> {
             // vrex-lint: allow(panicking-seam) — batch formation never emits an empty batch.
             .expect("non-empty batch");
         let step = match kind {
-            Kind::Frame => self.prices.frame_step_in(ctx, max_cache, batch),
+            Kind::Frame => self.prices.frame_step(max_cache, batch),
             Kind::Question => {
                 let max_tokens = self
                     .members
@@ -307,10 +306,9 @@ impl Sched<'_> {
                     .max()
                     // vrex-lint: allow(panicking-seam) — batch formation never emits an empty batch.
                     .expect("non-empty batch");
-                self.prices
-                    .question_step_in(ctx, max_cache, batch, max_tokens)
+                self.prices.question_step(max_cache, batch, max_tokens)
             }
-            Kind::Decode => self.prices.decode_step_in(ctx, max_cache, batch),
+            Kind::Decode => self.prices.decode_step(max_cache, batch),
         };
         (kind, step)
     }

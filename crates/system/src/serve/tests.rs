@@ -67,12 +67,8 @@ fn admission_control_rejects_when_memory_is_full() {
     // Zero patience makes the overflow sessions reject immediately.
     let sys = SystemModel::new(PlatformSpec::agx_orin(), Method::VanillaInMemory);
     let cfg = ServeConfig {
-        fps: 2.0,
-        initial_cache_tokens: 30_000,
         max_wait_s: 0.0,
-        admission: AdmissionPolicy::RejectOnly,
-        overlap: false,
-        queue: QueueKind::Heap,
+        ..ServeConfig::real_time(30_000)
     };
     let r = serve(&sys, &llama(), &fleet(6, 1, 3.0, 5), &cfg);
     assert!(r.admitted >= 1, "at least one stream fits: {r:?}");
@@ -87,12 +83,8 @@ fn waiting_sessions_are_admitted_when_memory_frees() {
     // showing up in the `queued` count rather than `rejected`.
     let sys = SystemModel::new(PlatformSpec::agx_orin(), Method::VanillaInMemory);
     let cfg = ServeConfig {
-        fps: 2.0,
-        initial_cache_tokens: 30_000,
         max_wait_s: 1e6,
-        admission: AdmissionPolicy::RejectOnly,
-        overlap: false,
-        queue: QueueKind::Heap,
+        ..ServeConfig::real_time(30_000)
     };
     let r = serve(&sys, &llama(), &fleet(6, 1, 3.0, 5), &cfg);
     assert_eq!(r.admitted, 6, "everyone admitted eventually: {r:?}");
@@ -208,12 +200,8 @@ fn empty_fleet_yields_empty_report() {
 fn tiered_admission_spills_instead_of_rejecting() {
     let sys = SystemModel::new(PlatformSpec::agx_orin(), Method::VanillaInMemory);
     let reject_cfg = ServeConfig {
-        fps: 2.0,
-        initial_cache_tokens: 30_000,
         max_wait_s: 0.0,
-        admission: AdmissionPolicy::RejectOnly,
-        overlap: false,
-        queue: QueueKind::Heap,
+        ..ServeConfig::real_time(30_000)
     };
     let tier_cfg = ServeConfig {
         admission: AdmissionPolicy::tiered_speculative(),
@@ -262,12 +250,8 @@ fn tiered_admission_is_a_noop_when_everything_fits() {
 fn speculative_prefetch_beats_demand_fetch_under_pressure() {
     let sys = SystemModel::new(PlatformSpec::vrex48(), Method::VanillaInMemory);
     let cfg = |prefetch| ServeConfig {
-        fps: 2.0,
-        initial_cache_tokens: 30_000,
-        max_wait_s: 10.0,
         admission: AdmissionPolicy::Tiered { prefetch },
-        overlap: false,
-        queue: QueueKind::Heap,
+        ..ServeConfig::real_time(30_000)
     };
     let plans = fleet(20, 1, 10.0, 7);
     let model = llama();
@@ -327,14 +311,7 @@ fn out_waited_sessions_reject_despite_float_imprecise_deadlines() {
 #[test]
 fn timeout_boundaries_are_exact_integer_comparisons() {
     let sys = SystemModel::new(PlatformSpec::agx_orin(), Method::VanillaInMemory);
-    let cfg = ServeConfig {
-        fps: 2.0,
-        initial_cache_tokens: 70_000,
-        max_wait_s: 10.0,
-        admission: AdmissionPolicy::RejectOnly,
-        overlap: false,
-        queue: QueueKind::Heap,
-    };
+    let cfg = ServeConfig::real_time(70_000);
     // One long session pins more than half the device KV budget
     // (70K tokens ≈ 8.9 GiB of ~15.9 GiB) for far longer than the
     // waiter's patience; the second session arrives at an awkward
@@ -392,12 +369,9 @@ fn tiered_rejects_only_when_the_whole_hierarchy_is_full() {
     }
     let sys = SystemModel::new(platform, Method::VanillaInMemory);
     let cfg = ServeConfig {
-        fps: 2.0,
-        initial_cache_tokens: 30_000,
         max_wait_s: 0.0,
         admission: AdmissionPolicy::tiered_speculative(),
-        overlap: false,
-        queue: QueueKind::Heap,
+        ..ServeConfig::real_time(30_000)
     };
     let r = serve(&sys, &llama(), &fleet(2, 1, 3.0, 5), &cfg);
     assert_eq!(r.admitted, 0, "nothing fits the whole hierarchy: {r:?}");
@@ -487,27 +461,21 @@ fn serialized_trace_matches_pre_refactor_golden_fingerprints() {
         } else {
             ServeConfig::real_time(8_000)
         };
-        // Both event-core implementations must reproduce the exact
-        // pre-refactor trace: the wheel is a drop-in for the heap.
-        for qk in [QueueKind::Heap, QueueKind::Wheel] {
-            let cfg = cfg.with_queue(qk);
-            let (_, trace) = serve_traced(&sys, &model, &plans, &cfg);
-            assert_eq!(
-                trace_fingerprint(&trace),
-                (c.len, c.hash),
-                "{} + {:?} ({:?}): serialized trace drifted from the pre-refactor scheduler",
-                c.platform.name,
-                c.method,
-                qk
-            );
-        }
+        let (_, trace) = serve_traced(&sys, &model, &plans, &cfg);
+        assert_eq!(
+            trace_fingerprint(&trace),
+            (c.len, c.hash),
+            "{} + {:?}: serialized trace drifted from the pre-refactor scheduler",
+            c.platform.name,
+            c.method,
+        );
     }
 }
 
 /// The resource-timeline counterpart of the serialized goldens: three
 /// overlapped serves that spill and restore, pinned by trace
 /// fingerprint and by the two report fields the link reservations
-/// decide (`exposed_s`, `restored_bytes`), under both event queues.
+/// decide (`exposed_s`, `restored_bytes`).
 /// Captured from the driver whose engine kept every interval it ever
 /// reserved and mirrored each restore and migration onto `host-dram` /
 /// `ssd` channels; forgetting history behind the causal watermark and
@@ -570,29 +538,27 @@ fn overlapped_trace_matches_golden_fingerprints() {
     let model = llama();
     let mut drift = Vec::new();
     for c in &cases {
-        for qk in [QueueKind::Heap, QueueKind::Wheel] {
-            let cfg = c.cfg.with_overlap(true).with_queue(qk);
-            let (r, trace) = serve_traced(&c.sys, &model, &c.plans, &cfg);
-            let t = r.tiering.expect("tiered run reports tiering");
-            assert!(
-                t.spilled_bytes > 0 && t.restored_bytes > 0,
-                "{}: the case must spill and restore: {t:?}",
-                c.name
-            );
-            let (len, hash) = trace_fingerprint(&trace);
-            assert!(
-                r.counters.timeline_peak >= drivers::FORGET_MIN_HELD,
-                "{}: the case must forget history at least once",
-                c.name
-            );
-            if (len, hash, t.exposed_s, t.restored_bytes)
-                != (c.len, c.hash, c.exposed_s, c.restored_bytes)
-            {
-                drift.push(format!(
-                    "{} ({qk:?}): len {len}, hash {hash:#018x}, exposed_s {:?}, restored_bytes {}",
-                    c.name, t.exposed_s, t.restored_bytes
-                ));
-            }
+        let cfg = c.cfg.with_overlap(true);
+        let (r, trace) = serve_traced(&c.sys, &model, &c.plans, &cfg);
+        let t = r.tiering.expect("tiered run reports tiering");
+        assert!(
+            t.spilled_bytes > 0 && t.restored_bytes > 0,
+            "{}: the case must spill and restore: {t:?}",
+            c.name
+        );
+        let (len, hash) = trace_fingerprint(&trace);
+        assert!(
+            r.counters.timeline_peak >= drivers::FORGET_MIN_HELD,
+            "{}: the case must forget history at least once",
+            c.name
+        );
+        if (len, hash, t.exposed_s, t.restored_bytes)
+            != (c.len, c.hash, c.exposed_s, c.restored_bytes)
+        {
+            drift.push(format!(
+                "{}: len {len}, hash {hash:#018x}, exposed_s {:?}, restored_bytes {}",
+                c.name, t.exposed_s, t.restored_bytes
+            ));
         }
     }
     assert!(
@@ -755,12 +721,9 @@ fn overlap_conserves_sessions_and_work() {
     let model = llama();
     let plans = fleet(6, 1, 3.0, 5);
     let cfg = ServeConfig {
-        fps: 2.0,
-        initial_cache_tokens: 30_000,
-        max_wait_s: 10.0,
         admission: AdmissionPolicy::tiered_speculative(),
         overlap: true,
-        queue: QueueKind::Heap,
+        ..ServeConfig::real_time(30_000)
     };
     let r = serve(&sys, &model, &plans, &cfg);
     assert_eq!(r.admitted + r.rejected, r.offered);
@@ -886,12 +849,9 @@ fn decode_heavy_fleet_keeps_ready_sets_and_samples_exact() {
 fn overlap_tiered_admission_spills_instead_of_rejecting() {
     let sys = SystemModel::new(PlatformSpec::agx_orin(), Method::VanillaInMemory);
     let base = ServeConfig {
-        fps: 2.0,
-        initial_cache_tokens: 30_000,
         max_wait_s: 0.0,
-        admission: AdmissionPolicy::RejectOnly,
         overlap: true,
-        queue: QueueKind::Heap,
+        ..ServeConfig::real_time(30_000)
     };
     let tier_cfg = ServeConfig {
         admission: AdmissionPolicy::tiered_speculative(),

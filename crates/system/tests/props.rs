@@ -7,9 +7,9 @@ use vrex_system::pipeline::{cold_selected_tokens, layer_costs, selected_tokens, 
 use vrex_system::serve::SessionOutcome;
 use vrex_system::{
     serve, serve_sharded, serve_sharded_stream, serve_sharded_traced_with_workers,
-    serve_sharded_with_cache_in, serve_stream, serve_traced, DevicePool, ExecContext, Method,
-    PlacementPolicy, PlatformSpec, QueueKind, ServeConfig, ShardScratch, StepPriceCache,
-    SystemModel, TieredKvManager, TraceKind,
+    serve_sharded_with_cache_in, serve_stream, serve_traced, DevicePool, Method, PlacementPolicy,
+    PlatformSpec, ServeConfig, ShardScratch, StepPriceCache, SystemModel, TieredKvManager,
+    TraceKind,
 };
 use vrex_workload::traffic::TrafficConfig;
 
@@ -390,15 +390,15 @@ proptest! {
         let mut prices = StepPriceCache::new(&sys, &model);
         for _ in 0..2 {
             prop_assert_eq!(
-                prices.frame_step_in(ExecContext::Serialized, cache_tokens, batch),
+                prices.frame_step(cache_tokens, batch),
                 sys.frame_step(&model, cache_tokens, batch)
             );
             prop_assert_eq!(
-                prices.decode_step_in(ExecContext::Serialized, cache_tokens, batch),
+                prices.decode_step(cache_tokens, batch),
                 sys.decode_step(&model, cache_tokens, batch)
             );
             prop_assert_eq!(
-                prices.question_step_in(ExecContext::Serialized, cache_tokens, batch, question),
+                prices.question_step(cache_tokens, batch, question),
                 sys.question_step(&model, cache_tokens, batch, question)
             );
         }
@@ -409,13 +409,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The timer-wheel event core is a bit-exact drop-in for the
-    /// binary heap: over random fleets, both admission policies, and
-    /// both execution models, the two [`QueueKind`]s produce identical
-    /// reports, identical traces (every transition, not just a
-    /// fingerprint), and identical event-loop counters.
+    /// Tracing only observes: over random fleets, both admission
+    /// policies, and both execution models, [`serve_traced`] returns
+    /// the report and event-loop counters of the untraced [`serve`].
     #[test]
-    fn wheel_and_heap_event_cores_are_bit_identical(
+    fn tracing_leaves_reports_and_counters_bit_identical(
         sessions in 1usize..8,
         turns in 0usize..3,
         spread in 0.0f64..12.0,
@@ -445,15 +443,14 @@ proptest! {
             overlap,
             ..ServeConfig::real_time(cache)
         };
-        let (heap_r, heap_t) = serve_traced(&sys, &model, &plans, &cfg.with_queue(QueueKind::Heap));
-        let (wheel_r, wheel_t) =
-            serve_traced(&sys, &model, &plans, &cfg.with_queue(QueueKind::Wheel));
-        prop_assert_eq!(&heap_t, &wheel_t, "traces diverged between event cores");
-        prop_assert_eq!(&heap_r, &wheel_r, "reports diverged between event cores");
+        let (traced, trace) = serve_traced(&sys, &model, &plans, &cfg);
+        let untraced = serve(&sys, &model, &plans, &cfg);
+        prop_assert_eq!(&traced, &untraced, "tracing changed the report");
         // Counters sit outside report equality (serialized vs overlap
-        // do different loop work), but across queue kinds the loop is
-        // the same loop: they must match exactly too.
-        prop_assert_eq!(heap_r.counters, wheel_r.counters);
+        // do different loop work), but tracing adds none: they must
+        // match exactly too.
+        prop_assert_eq!(traced.counters, untraced.counters);
+        prop_assert_eq!(trace.is_empty(), plans.is_empty());
     }
 
     /// Streaming plan delivery is report-identical to the materialized
@@ -467,7 +464,6 @@ proptest! {
         spread in 0.0f64..12.0,
         cache in 1_000usize..40_000,
         seed in 0u64..300,
-        queue_wheel in any::<bool>(),
     ) {
         let traffic = TrafficConfig {
             sessions,
@@ -477,11 +473,7 @@ proptest! {
         };
         let sys = SystemModel::new(PlatformSpec::vrex48(), Method::ReSV);
         let model = ModelConfig::llama3_8b();
-        let cfg = ServeConfig::real_time(cache).with_queue(if queue_wheel {
-            QueueKind::Wheel
-        } else {
-            QueueKind::Heap
-        });
+        let cfg = ServeConfig::real_time(cache);
         let materialized = serve(&sys, &model, &traffic.generate(), &cfg);
         let mut prices = StepPriceCache::new(&sys, &model);
         let streamed = serve_stream(&mut prices, &mut traffic.stream(), &cfg);
@@ -497,7 +489,6 @@ proptest! {
     /// [`PlacementPolicy`]: conservation (every offered session is
     /// placed on exactly one valid device, and the per-device reports
     /// partition the fleet), plus determinism — bit-identical reports
-    /// and per-device traces across `QueueKind::Heap`/`Wheel`, and
     /// across streamed vs materialized plan delivery.
     #[test]
     fn sharded_placement_conserves_and_is_deterministic(
@@ -521,30 +512,25 @@ proptest! {
         let model = ModelConfig::llama3_8b();
         let cfg = ServeConfig::real_time(cache);
         let workers = vrex_core::par::workers();
-        let (heap, heap_t) = serve_sharded_traced_with_workers(
-            &pool, Method::ReSV, &model, &plans, &cfg.with_queue(QueueKind::Heap), policy, workers,
+        let (sharded, _) = serve_sharded_traced_with_workers(
+            &pool, Method::ReSV, &model, &plans, &cfg, policy, workers,
         );
-        let (wheel, wheel_t) = serve_sharded_traced_with_workers(
-            &pool, Method::ReSV, &model, &plans, &cfg.with_queue(QueueKind::Wheel), policy, workers,
-        );
-        prop_assert_eq!(&heap_t, &wheel_t, "device traces diverged between event cores");
-        prop_assert_eq!(&heap, &wheel, "sharded reports diverged between event cores");
         // Conservation: the placement map lists every offered session
         // exactly once, on a device that exists.
-        let mut placed: Vec<usize> = heap.placements.iter().map(|&(id, _)| id).collect();
+        let mut placed: Vec<usize> = sharded.placements.iter().map(|&(id, _)| id).collect();
         placed.sort_unstable();
         let mut offered: Vec<usize> = plans.iter().map(|p| p.id).collect();
         offered.sort_unstable();
         prop_assert_eq!(placed, offered);
-        prop_assert!(heap.placements.iter().all(|&(_, d)| d < devices));
+        prop_assert!(sharded.placements.iter().all(|&(_, d)| d < devices));
         // The per-device reports partition the fleet: device-local
         // offered counts sum to the fleet, and every session terminates
         // on its one device.
-        prop_assert_eq!(heap.devices.len(), devices);
-        prop_assert_eq!(heap.offered(), sessions);
-        prop_assert_eq!(heap.devices.iter().map(|r| r.offered).sum::<usize>(), sessions);
-        prop_assert_eq!(heap.admitted() + heap.rejected(), heap.offered());
-        prop_assert!(heap.real_time_sessions() <= heap.admitted());
+        prop_assert_eq!(sharded.devices.len(), devices);
+        prop_assert_eq!(sharded.offered(), sessions);
+        prop_assert_eq!(sharded.devices.iter().map(|r| r.offered).sum::<usize>(), sessions);
+        prop_assert_eq!(sharded.admitted() + sharded.rejected(), sharded.offered());
+        prop_assert!(sharded.real_time_sessions() <= sharded.admitted());
         // Streamed plan delivery reproduces the materialized report.
         let sys = SystemModel::new(PlatformSpec::vrex48(), Method::ReSV);
         let mut prices = StepPriceCache::new(&sys, &model);
@@ -553,15 +539,15 @@ proptest! {
         );
         let streamed = serve_sharded_stream(&mut prices, &pool, &mut traffic.stream(), &cfg, policy);
         prop_assert_eq!(&materialized, &streamed, "streamed vs materialized sharded reports");
-        prop_assert_eq!(&materialized, &heap);
+        prop_assert_eq!(&materialized, &sharded);
     }
 
     /// The parallel-execution contract: fanning the per-device serve
     /// loops out across scoped worker threads is byte-identical to the
     /// sequential path at every worker count — same per-device reports,
     /// same placement map, same interconnect accounting, and identical
-    /// per-device scheduler traces — for every placement policy and
-    /// both event cores. Placement completes before any device runs,
+    /// per-device scheduler traces — for every placement policy.
+    /// Placement completes before any device runs,
     /// pricing is a pure function (cache contents never change a
     /// result), and the scoped join returns results in device order;
     /// this test pins that argument against the implementation.
@@ -574,7 +560,6 @@ proptest! {
         seed in 0u64..300,
         devices in 2usize..5,
         policy_idx in 0usize..4,
-        wheel in any::<bool>(),
     ) {
         let policy = PlacementPolicy::ALL[policy_idx];
         let plans = TrafficConfig {
@@ -586,11 +571,7 @@ proptest! {
         .generate();
         let pool = DevicePool::homogeneous(PlatformSpec::vrex48(), devices);
         let model = ModelConfig::llama3_8b();
-        let cfg = ServeConfig::real_time(cache).with_queue(if wheel {
-            QueueKind::Wheel
-        } else {
-            QueueKind::Heap
-        });
+        let cfg = ServeConfig::real_time(cache);
         let (seq, seq_t) = serve_sharded_traced_with_workers(
             &pool, Method::ReSV, &model, &plans, &cfg, policy, 1,
         );
@@ -771,11 +752,11 @@ proptest! {
         }
     }
 
-    /// Cluster-granular serving is deterministic across event cores and
-    /// plan delivery: under [`AdmissionPolicy::tiered_cluster`] the
-    /// Heap and Wheel queues produce identical reports, traces, and
-    /// counters, and streamed plan delivery reproduces the
-    /// materialized report — the same contract the flat policies pin.
+    /// Cluster-granular serving is deterministic across plan delivery:
+    /// under [`AdmissionPolicy::tiered_cluster`] every session reaches
+    /// one outcome, the prefetch telemetry is self-consistent, and
+    /// streamed plan delivery reproduces the materialized report and
+    /// counters — the same contract the flat policies pin.
     #[test]
     fn cluster_tiering_is_deterministic_across_cores_and_delivery(
         sessions in 1usize..8,
@@ -799,25 +780,20 @@ proptest! {
             overlap,
             ..ServeConfig::real_time(cache)
         };
-        let (heap_r, heap_t) = serve_traced(&sys, &model, &plans, &cfg.with_queue(QueueKind::Heap));
-        let (wheel_r, wheel_t) =
-            serve_traced(&sys, &model, &plans, &cfg.with_queue(QueueKind::Wheel));
-        prop_assert_eq!(&heap_t, &wheel_t, "cluster traces diverged between event cores");
-        prop_assert_eq!(&heap_r, &wheel_r, "cluster reports diverged between event cores");
-        prop_assert_eq!(heap_r.counters, wheel_r.counters);
-        prop_assert_eq!(heap_r.admitted + heap_r.rejected, heap_r.offered);
+        let r = serve(&sys, &model, &plans, &cfg);
+        prop_assert_eq!(r.admitted + r.rejected, r.offered);
         // Prefetch telemetry self-consistency: demand-fetched clusters
         // are a subset of the mispredictions that produced them.
-        let c = heap_r.counters;
+        let c = r.counters;
         prop_assert!(c.demand_clusters <= c.mispredicted_clusters);
-        if let Some(t) = &heap_r.tiering {
+        if let Some(t) = &r.tiering {
             prop_assert!(t.exposed_s >= 0.0 && t.hidden_s >= 0.0);
         }
         if !overlap {
             let mut prices = StepPriceCache::new(&sys, &model);
             let streamed = serve_stream(&mut prices, &mut traffic.stream(), &cfg);
-            prop_assert_eq!(&heap_r, &streamed, "streamed cluster fleet drifted");
-            prop_assert_eq!(heap_r.counters, streamed.counters);
+            prop_assert_eq!(&r, &streamed, "streamed cluster fleet drifted");
+            prop_assert_eq!(r.counters, streamed.counters);
         }
     }
 }
