@@ -11,9 +11,9 @@
 //! * [`time`] — picosecond simulation time and cycle conversions;
 //! * [`engine`] — a dependency-graph resource scheduler producing end
 //!   times and busy-interval traces (Fig. 17's bandwidth timeline);
-//! * [`dram`] — bank/row-state DRAM model with LPDDR5 / HBM2e / DDR4
-//!   presets (bandwidth, row locality, pJ/bit energy);
-//! * [`ssd`] — multi-channel NVMe flash model (page reads, channel
+//! * [`dram`] — closed-form DRAM timing with LPDDR5 / HBM2e / DDR4
+//!   presets (bandwidth, row activations, pJ/bit energy);
+//! * [`ssd`] — closed-form NVMe flash timing (page reads, channel
 //!   striping, scattered-vs-contiguous efficiency);
 //! * [`pcie`] — PCIe link with per-TLP overhead, so transfer efficiency
 //!   depends on chunk size (the KVMU's cluster-contiguous win);
@@ -29,14 +29,12 @@
 //! * [`tier`] — the HBM → host-DRAM → SSD memory-tier topology and
 //!   bulk-migration pricing behind the tiered serving path;
 //! * [`area_power`] — Table III area/power constants and composition;
-//! * [`energy`] — per-component energy accounting;
 //! * [`roofline`] — roofline-analysis helpers (Fig. 18).
 
 #![warn(missing_docs)]
 
 pub mod area_power;
 pub mod dram;
-pub mod energy;
 pub mod engine;
 pub mod gpu;
 pub mod interconnect;
@@ -54,7 +52,6 @@ pub mod vrexunits;
 /// ([`ssd::SsdConfig::read_ps`], [`dram::DramConfig::read_ps`]).
 pub const CONTIGUOUS_CHUNK_BYTES: u64 = 64 * 1024;
 
-pub use energy::EnergyMeter;
 pub use engine::{Engine, ResourceId, TaskId};
 pub use interconnect::{CopySpan, Interconnect, InterconnectConfig};
 pub use tier::{MemTier, TierCapacities, TierPath};

@@ -7,6 +7,11 @@
 //! transfers) and *scattered* small reads (every request pays a full
 //! page read for a fraction of a page of useful data). That gap is why
 //! the KVMU's cluster-contiguous memory mapping matters.
+//!
+//! Both regimes are closed forms of the configuration on an otherwise
+//! idle drive ([`SsdConfig::stream_read_ps`],
+//! [`SsdConfig::scattered_read_ps`]); `vrex_system`'s end-to-end model
+//! prices the active and idle powers.
 
 use crate::time::transfer_ps;
 use crate::CONTIGUOUS_CHUNK_BYTES;
@@ -110,66 +115,20 @@ impl SsdConfig {
     }
 }
 
-/// Stateless timing model (queueing is computed per request batch).
+/// Forwards to [`SsdConfig::scattered_read_ps`]; kept because `benchmark/` is frozen; deleted by ROADMAP S1a.
+#[doc(hidden)]
 #[derive(Debug, Clone)]
-pub struct Ssd {
-    cfg: SsdConfig,
-    bytes_read: u64,
-    busy_ps: u64,
-}
+pub struct Ssd(SsdConfig);
 
 impl Ssd {
-    /// Creates the model.
+    /// Wraps `cfg`.
     pub fn new(cfg: SsdConfig) -> Self {
-        Self {
-            cfg,
-            bytes_read: 0,
-            busy_ps: 0,
-        }
+        Self(cfg)
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &SsdConfig {
-        &self.cfg
-    }
-
-    /// [`SsdConfig::stream_read_ps`], counted toward this drive's
-    /// bytes read and busy time.
-    pub fn read_contiguous(&mut self, bytes: u64) -> u64 {
-        let t = self.cfg.stream_read_ps(bytes);
-        self.bytes_read += bytes;
-        self.busy_ps += t;
-        t
-    }
-
-    /// [`SsdConfig::scattered_read_ps`], counted toward this drive's
-    /// bytes read and busy time.
+    /// [`SsdConfig::scattered_read_ps`].
     pub fn read_scattered(&mut self, n_requests: u64, bytes_each: u64) -> u64 {
-        let t = self.cfg.scattered_read_ps(n_requests, bytes_each);
-        self.bytes_read += n_requests * bytes_each;
-        self.busy_ps += t;
-        t
-    }
-
-    /// Useful-byte efficiency of scattered reads of `bytes_each`
-    /// (1.0 when requests are page-aligned multiples).
-    pub fn scattered_efficiency(&self, bytes_each: u64) -> f64 {
-        let pages = bytes_each.div_ceil(self.cfg.page_bytes);
-        bytes_each as f64 / (pages * self.cfg.page_bytes) as f64
-    }
-
-    /// Energy (joules) given total elapsed wall time (s): active power
-    /// over busy time, idle power over the rest.
-    pub fn energy_joules(&self, wall_seconds: f64) -> f64 {
-        // vrex-lint: allow(float-time) — report boundary: busy ps becomes seconds for energy accounting only; nothing feeds back into simulation time.
-        let busy_s = self.busy_ps as f64 / 1e12;
-        let idle_s = (wall_seconds - busy_s).max(0.0);
-        self.cfg.active_w * busy_s + self.cfg.idle_w * idle_s
-    }
-
-    /// Total bytes read so far.
-    pub fn bytes_read(&self) -> u64 {
-        self.bytes_read
+        self.0.scattered_read_ps(n_requests, bytes_each)
     }
 }
 
@@ -178,30 +137,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stream_read_matches_fresh_ssd() {
-        let cfg = SsdConfig::bg6_class();
-        for bytes in [1u64, 4096, 16 << 10, (16 << 10) + 1, 1 << 20, 1 << 30] {
-            assert_eq!(
-                cfg.stream_read_ps(bytes),
-                Ssd::new(cfg.clone()).read_contiguous(bytes),
-                "contiguous {bytes}"
-            );
-        }
-        for (n, each) in [(1u64, 512u64), (7, 4096), (1000, 16 << 10), (64, 100)] {
-            assert_eq!(
-                cfg.scattered_read_ps(n, each),
-                Ssd::new(cfg.clone()).read_scattered(n, each),
-                "scattered {n}x{each}"
-            );
-        }
-        assert_eq!(cfg.stream_read_ps(0), 0);
-        assert_eq!(cfg.scattered_read_ps(0, 4096), 0);
-    }
-
-    #[test]
     fn read_ps_streams_from_the_contiguity_threshold_up() {
-        // Oracle: the page arithmetic as it was written out in
-        // `read_contiguous` / `read_scattered` before they delegated.
+        // Oracle: the page arithmetic written out by hand.
         let cfg = SsdConfig::bg6_class();
         let pages_ps = |pages: u64| {
             let per_die = pages.div_ceil((cfg.channels * cfg.dies_per_channel) as u64);
@@ -228,9 +165,8 @@ mod tests {
     #[test]
     fn large_contiguous_read_achieves_near_peak() {
         let cfg = SsdConfig::bg6_class();
-        let mut ssd = Ssd::new(cfg.clone());
         let bytes = 1u64 << 30;
-        let t = ssd.read_contiguous(bytes);
+        let t = cfg.stream_read_ps(bytes);
         let bw = bytes as f64 / (t as f64 / 1e12);
         assert!(
             bw > 0.6 * cfg.peak_bytes_per_s(),
@@ -242,11 +178,9 @@ mod tests {
     fn scattered_small_reads_waste_bandwidth() {
         let cfg = SsdConfig::bg6_class();
         let useful = 4u64 << 20;
-        let mut a = Ssd::new(cfg.clone());
-        let t_seq = a.read_contiguous(useful);
-        let mut b = Ssd::new(cfg);
+        let t_seq = cfg.stream_read_ps(useful);
         // 512-byte scattered requests: 1/32 page efficiency.
-        let t_scat = b.read_scattered(useful / 512, 512);
+        let t_scat = cfg.scattered_read_ps(useful / 512, 512);
         assert!(
             t_scat > 10 * t_seq,
             "scattered {t_scat} should be far slower than contiguous {t_seq}"
@@ -254,36 +188,17 @@ mod tests {
     }
 
     #[test]
-    fn scattered_efficiency_formula() {
-        let ssd = Ssd::new(SsdConfig::bg6_class());
-        assert!((ssd.scattered_efficiency(16 * 1024) - 1.0).abs() < 1e-12);
-        assert!((ssd.scattered_efficiency(512) - 512.0 / 16384.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn zero_reads_are_free() {
-        let mut ssd = Ssd::new(SsdConfig::bg6_class());
-        assert_eq!(ssd.read_contiguous(0), 0);
-        assert_eq!(ssd.read_scattered(0, 4096), 0);
-    }
-
-    #[test]
-    fn energy_accounts_busy_and_idle() {
         let cfg = SsdConfig::bg6_class();
-        let mut ssd = Ssd::new(cfg.clone());
-        ssd.read_contiguous(256 << 20);
-        let busy_s = ssd.busy_ps as f64 / 1e12;
-        let e = ssd.energy_joules(busy_s + 1.0);
-        let expected = cfg.active_w * busy_s + cfg.idle_w * 1.0;
-        assert!((e - expected).abs() < 1e-9);
+        assert_eq!(cfg.stream_read_ps(0), 0);
+        assert_eq!(cfg.scattered_read_ps(0, 4096), 0);
     }
 
     #[test]
     fn scattered_zero_request_count_and_zero_bytes_are_free() {
-        let mut ssd = Ssd::new(SsdConfig::bg6_class());
-        assert_eq!(ssd.read_scattered(0, 4096), 0);
-        assert_eq!(ssd.read_scattered(16, 0), 0);
-        assert_eq!(ssd.bytes_read(), 0, "free reads must not count bytes");
+        let cfg = SsdConfig::bg6_class();
+        assert_eq!(cfg.scattered_read_ps(0, 4096), 0);
+        assert_eq!(cfg.scattered_read_ps(16, 0), 0);
     }
 
     #[test]
@@ -291,11 +206,9 @@ mod tests {
         // One sub-page request: 1 page on 1 die (array = 1·tR), 1 page
         // over 1 channel, plus the pipeline-fill tR.
         let cfg = SsdConfig::bg6_class();
-        let mut ssd = Ssd::new(cfg.clone());
-        let t = ssd.read_scattered(1, 512);
+        let t = cfg.scattered_read_ps(1, 512);
         let transfer = transfer_ps(cfg.page_bytes, cfg.channel_bytes_per_s);
         assert_eq!(t, cfg.page_read_ps.max(transfer) + cfg.page_read_ps);
-        assert_eq!(ssd.bytes_read(), 512);
     }
 
     #[test]
@@ -303,9 +216,8 @@ mod tests {
         // A request of 2.5 pages rounds up to 3 pages; 16 requests of
         // 3 pages spread 48 pages over 16 dies → 3 serial tRs.
         let cfg = SsdConfig::bg6_class();
-        let mut ssd = Ssd::new(cfg.clone());
         let bytes_each = cfg.page_bytes * 5 / 2;
-        let t = ssd.read_scattered(16, bytes_each);
+        let t = cfg.scattered_read_ps(16, bytes_each);
         let pages_per_channel = 48u64.div_ceil(cfg.channels as u64);
         let transfer = transfer_ps(pages_per_channel * cfg.page_bytes, cfg.channel_bytes_per_s);
         assert_eq!(t, (3 * cfg.page_read_ps).max(transfer) + cfg.page_read_ps);
@@ -314,8 +226,7 @@ mod tests {
     #[test]
     fn small_read_pays_page_latency() {
         let cfg = SsdConfig::bg6_class();
-        let mut ssd = Ssd::new(cfg.clone());
-        let t = ssd.read_contiguous(512);
+        let t = cfg.stream_read_ps(512);
         assert!(t >= cfg.page_read_ps, "must pay at least one tR");
     }
 }

@@ -12,8 +12,8 @@
 //!
 //! A migration streams bulk KV blocks, so every leg is priced with the
 //! existing substrate models ([`PcieConfig`], [`SsdConfig`],
-//! [`DramConfig`] — via their allocation-free fresh-device closed
-//! forms) and the legs pipeline: the slowest stage bounds the
+//! [`DramConfig`] — via their fresh-device closed forms) and the legs
+//! pipeline: the slowest stage bounds the
 //! transfer, exactly like the per-step fetch path in `vrex-system`.
 //! Spill (down) and restore (up) use the same timing — flash-program
 //! asymmetry is deliberately ignored because spills run off the

@@ -449,6 +449,38 @@ mod tests {
     }
 
     #[test]
+    fn step_energy_recomputes_from_the_step_itself() {
+        // DRAM and SSD energy as priced: per-bit access plus background
+        // power on V-Rex, active plus idle drive power on the NVMe, and
+        // on the GPU board the drive's active power only (board power
+        // covers device memory).
+        let vrex = SystemModel::new(PlatformSpec::vrex8(), Method::ReSV);
+        let r = vrex.frame_step(&llama(), 40_000, 1);
+        let (dram, ssd) = (&vrex.platform.dram, vrex.platform.storage.as_ref().unwrap());
+        let latency_s = r.latency_ps as f64 / 1e12;
+        let fetch_s = r.fetch_ps as f64 / 1e12;
+        assert!(r.dram_bytes > 0 && fetch_s > 0.0 && fetch_s < latency_s);
+        assert_eq!(
+            r.energy.dram_j,
+            r.dram_bytes as f64 * 8.0 * dram.pj_per_bit * 1e-12 + dram.background_w * latency_s
+        );
+        assert_eq!(
+            r.energy.storage_j,
+            ssd.active_w * fetch_s + ssd.idle_w * (latency_s - fetch_s)
+        );
+
+        let agx = SystemModel::new(PlatformSpec::agx_orin(), Method::FlexGen);
+        let r = agx.frame_step(&llama(), 40_000, 1);
+        let ssd = agx.platform.storage.as_ref().unwrap();
+        assert!(r.fetch_ps > 0);
+        assert_eq!(
+            r.energy.storage_j,
+            ssd.active_w * (r.fetch_ps as f64 / 1e12)
+        );
+        assert_eq!(r.energy.dram_j, 0.0);
+    }
+
+    #[test]
     fn oom_points_match_fig15_shape() {
         let model = llama();
         let vanilla = SystemModel::new(PlatformSpec::agx_orin(), Method::VanillaInMemory);

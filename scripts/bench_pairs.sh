@@ -3,9 +3,11 @@
 # with the benchmark contract's arguments (`--workload W --seed S
 # --seconds 10 --trace 0`). Prints every run's end-to-end metrics and
 # report digest, then per metric the two medians, the parent's
-# interquartile range and how many pairs the change won, and last
-# whether every run's report digest agreed (`digests: identical`) or
-# which pair first disagreed (`digests: DIFFER (pair k)`).
+# interquartile range and how many pairs the change won, then whether
+# every run's report digest agreed (`digests: identical`) or which pair
+# first disagreed (`digests: DIFFER (pair k)`), and last the failed
+# operations summed over each side's runs from their `"failed"` field
+# (`failed: parent <sum> change <sum>`).
 #
 #   scripts/bench_pairs.sh <parent-rev> <workload> <pairs> [seed]
 #
@@ -13,8 +15,9 @@
 # state is untouched) and built beside the working tree, each side in
 # its own CARGO_TARGET_DIR, both under one scratch directory:
 # BENCH_PAIRS_DIR if set (kept, so a second call reuses the builds),
-# otherwise a temporary one removed on exit. Runs never overlap; the
-# order is parent, change, parent, change, ...
+# otherwise a temporary one removed on exit. Runs never overlap, and
+# the side that runs first alternates: odd pairs run the parent first,
+# even pairs the change. Each pair still prints parent, then change.
 set -eu
 
 [ $# -ge 3 ] || {
@@ -48,8 +51,10 @@ build "$root" "$dir/target-change"
 
 runs=$dir/runs.txt
 digests=$dir/digests.txt
+failed=$dir/failed.txt
 : >"$runs"
 : >"$digests"
+: >"$failed"
 run() { # <pair> <side> <checkout>
     out=$(cd "$3" && "$dir/target-$2/release/vrex-benchmark" --workload "$workload" \
         --seed "$seed" --seconds 10 --trace 0) || true
@@ -64,15 +69,22 @@ run() { # <pair> <side> <checkout>
         printf ' %s=%s' "$name" "$value"
         echo "$1 $2 $name $value" >>"$runs"
     done
-    printf ' failed=%s digest=%s\n' \
-        "$(printf '%s\n' "$line" | sed -n 's/.*"failed": \([0-9]*\).*/\1/p')" "$digest"
+    nfailed=$(printf '%s\n' "$line" | sed -n 's/.*"failed": \([0-9]*\).*/\1/p')
+    echo "$1 $2 $nfailed" >>"$failed"
+    printf ' failed=%s digest=%s\n' "$nfailed" "$digest"
 }
 
 echo "== $workload, seed $seed, $pairs pair(s): $rev vs working tree =="
 i=1
 while [ "$i" -le "$pairs" ]; do
-    run "$i" parent "$dir/parent"
-    run "$i" change "$root"
+    if [ $((i % 2)) -eq 1 ]; then
+        run "$i" parent "$dir/parent" >"$dir/line-parent"
+        run "$i" change "$root" >"$dir/line-change"
+    else
+        run "$i" change "$root" >"$dir/line-change"
+        run "$i" parent "$dir/parent" >"$dir/line-parent"
+    fi
+    cat "$dir/line-parent" "$dir/line-change"
     i=$((i + 1))
 done
 
@@ -110,3 +122,10 @@ awk '
     $3 != first || $3 == "" { if (!bad) bad = $1 }
     END { print bad ? "digests: DIFFER (pair " bad ")" : "digests: identical" }
 ' "$digests"
+
+# A run that prints no `"failed"` field (it crashed) counts as one.
+awk '
+    $2 == "parent" { p += $3 == "" ? 1 : $3 }
+    $2 == "change" { c += $3 == "" ? 1 : $3 }
+    END { printf "failed: parent %d change %d\n", p, c }
+' "$failed"

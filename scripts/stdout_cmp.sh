@@ -1,9 +1,10 @@
 #!/bin/sh
 # Bit-identity of pinned stdout between a parent revision and the
-# working tree. Runs every deterministic bin the CI capacity-grid step
-# captures (the full tier_capacity grids, Figs. 13 / 14 / 16, the
-# accuracy proxy, Figs. 7 / 19 / 20, the ReSV parameter sweep), the
-# --smoke capacity gates, realtime_session and the four examples on
+# working tree. Runs every deterministic bin of vrex-bench — the full
+# tier_capacity grids (± --overlap), Figs. 4 / 7 / 13 / 14 / 15 / 16 /
+# 17 / 18 / 19 / 20, Tables I / II / III, the ReSV parameter sweep,
+# scaling, realtime_session, the full serve_capacity and device_scaling
+# sweeps and the --smoke capacity gates — and the four examples on
 # both sides, `cmp`s each pair and prints one line per artifact
 # (`same <lines>` or `DIFFER`). The last line is `stdout: identical`
 # or `stdout: DIFFER (<names>)`; any difference exits 1.
@@ -57,6 +58,15 @@ fig07_similarity|fig07_similarity|
 fig19_resv_ablation|fig19_resv_ablation|
 fig20_ratio_distribution|fig20_ratio_distribution|
 sweep_resv_params|sweep_resv_params|
+fig04_motivation|fig04_motivation|
+fig15_oaken|fig15_oaken|
+fig17_bandwidth|fig17_bandwidth|
+fig18_roofline|fig18_roofline|
+tab1_specs|tab1_specs|
+tab3_area_power|tab3_area_power|
+scaling|scaling|
+serve_capacity|serve_capacity|
+device_scaling|device_scaling|
 serve_capacity_smoke|serve_capacity|--smoke
 tier_capacity_smoke|tier_capacity|--smoke
 tier_capacity_smoke_overlap|tier_capacity|--smoke --overlap

@@ -5,7 +5,7 @@
 
 use vrex::hwsim::kvmu::Kvmu;
 use vrex::hwsim::pcie::PcieConfig;
-use vrex::hwsim::ssd::{Ssd, SsdConfig};
+use vrex::hwsim::ssd::SsdConfig;
 
 /// Per-token per-layer KV record of the Llama-3 8B config.
 const TOKEN_BYTES: u64 = 4096;
@@ -74,17 +74,16 @@ fn mapped_plan_is_faster_on_pcie() {
 #[test]
 fn mapped_plan_is_faster_on_ssd() {
     let (mapped, unmapped, _) = plans();
-    let mut ssd_a = Ssd::new(SsdConfig::bg6_class());
-    let mut ssd_b = Ssd::new(SsdConfig::bg6_class());
+    let ssd = SsdConfig::bg6_class();
     let t_mapped: u64 = mapped
         .transactions
         .iter()
-        .map(|tx| ssd_a.read_contiguous(tx.bytes))
+        .map(|tx| ssd.stream_read_ps(tx.bytes))
         .sum();
     let t_unmapped: u64 = unmapped
         .transactions
         .iter()
-        .map(|tx| ssd_b.read_scattered(1, tx.bytes))
+        .map(|tx| ssd.scattered_read_ps(1, tx.bytes))
         .sum();
     assert!(
         t_mapped < t_unmapped,
