@@ -29,7 +29,7 @@
 //!
 //! Each device count runs on its own sweep worker ([`vrex_bench::par`])
 //! and shares one [`StepPriceCache`] and one
-//! [`vrex_system::ShardScratch`] across its 4 policies × fleet sizes
+//! [`vrex_system::ShardScratch`] across its 3 policies × fleet sizes
 //! (recycled routing buffers); each serve runs its per-device loops on
 //! one worker, so the sweep fans out at the unit level only. Tables
 //! print in grid order afterwards and carry simulated facts only —
@@ -192,7 +192,6 @@ fn main() {
         "Devices",
         "RT (first-fit)",
         "RT (load-balanced)",
-        "RT (tier-pressure)",
         "RT (migrate)",
         "Migrations",
     ]);
@@ -207,8 +206,7 @@ fn main() {
             unit.cells[0].capacity.to_string(),
             unit.cells[1].capacity.to_string(),
             unit.cells[2].capacity.to_string(),
-            unit.cells[3].capacity.to_string(),
-            unit.cells[3].migrations.to_string(),
+            unit.cells[2].migrations.to_string(),
         ]);
     }
 

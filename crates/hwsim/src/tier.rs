@@ -99,15 +99,6 @@ impl TierCapacities {
             .into_iter()
             .filter(move |&t| t > tier && self.has(t))
     }
-
-    /// Bytes a resident demand of `resident_bytes` forces below the
-    /// device tier (zero while everything fits in device memory). This
-    /// is the *restore debt* of a placement: spilled bytes that must
-    /// cross the link again before the streams holding them can step,
-    /// which tier-pressure-aware placement minimizes per device.
-    pub fn device_overflow_bytes(&self, resident_bytes: u64) -> u64 {
-        resident_bytes.saturating_sub(self.device_bytes)
-    }
 }
 
 /// The links connecting the tiers, used to price migrations.
@@ -296,18 +287,6 @@ mod tests {
         let below: Vec<MemTier> = caps.below(MemTier::Device).collect();
         assert_eq!(below, vec![MemTier::Ssd], "absent host tier skipped");
         assert_eq!(caps.below(MemTier::Ssd).count(), 0);
-    }
-
-    #[test]
-    fn device_overflow_is_the_spilled_remainder() {
-        let caps = TierCapacities {
-            device_bytes: 100,
-            host_bytes: 50,
-            ssd_bytes: 0,
-        };
-        assert_eq!(caps.device_overflow_bytes(60), 0, "fits in device");
-        assert_eq!(caps.device_overflow_bytes(100), 0, "exactly full");
-        assert_eq!(caps.device_overflow_bytes(130), 30, "30 B spilled");
     }
 
     #[test]

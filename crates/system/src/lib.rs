@@ -55,8 +55,8 @@ pub use memory::{
 pub use method::{Method, MethodProfile};
 pub use placement::{
     serve_sharded, serve_sharded_stream, serve_sharded_traced_with_workers,
-    serve_sharded_with_cache_in, DeviceMigration, InterconnectReport, PlacementPolicy,
-    ShardScratch, ShardedServeReport,
+    serve_sharded_with_cache_in, InterconnectReport, PlacementPolicy, ShardScratch,
+    ShardedServeReport,
 };
 pub use platform::{ComputeSpec, DevicePool, PlatformSpec};
 pub use pricing::{ExecContext, StepPriceCache};

@@ -35,11 +35,10 @@
 //! This module moves bytes *vertically* (between tiers of one device's
 //! hierarchy). The multi-device [`crate::placement`] layer moves them
 //! *horizontally* — between devices over the NVLink / PCIe-switch
-//! fabric — and reuses the same decide-then-drain idiom: placement
-//! decisions queue [`crate::placement::DeviceMigration`]s exactly as
-//! this manager queues [`MigrationTask`]s behind
-//! [`TieredKvManager::drain_migrations_into`], and both are priced in
-//! [`MIGRATION_CHUNK_BYTES`] DMA chunks.
+//! fabric. A placement decides at most one copy per session and
+//! schedules it on the fabric at once, where this manager queues
+//! [`MigrationTask`]s behind [`TieredKvManager::drain_migrations_into`];
+//! both are priced in [`MIGRATION_CHUNK_BYTES`] DMA chunks.
 
 mod cluster;
 mod flat;

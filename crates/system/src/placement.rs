@@ -41,14 +41,13 @@
 //! (source and destination would coincide), and phase 2 is exactly
 //! [`crate::serve::serve`] over the original fleet. The tests pin this
 //! byte-for-byte — report equality *and* scheduler-trace fingerprint
-//! equality — for all four policies, so sharding can never perturb the
+//! equality — for every policy, so sharding can never perturb the
 //! existing golden traces.
 
 use std::collections::BTreeMap;
 
 use vrex_core::par::{par_map_with_workers, timed, workers as host_workers};
 use vrex_hwsim::interconnect::Interconnect;
-use vrex_hwsim::tier::TierCapacities;
 use vrex_hwsim::{seconds_to_ps, Engine};
 use vrex_model::ModelConfig;
 use vrex_workload::traffic::{PlanSource, SessionPlan, SlicePlans};
@@ -64,8 +63,8 @@ use crate::serve::{run, ServeConfig, ServeReport, TraceEvent};
 ///
 /// Placement never rejects: when no device fits, the least-loaded one
 /// takes the session and its own admission control decides what
-/// happens next (queue, spill, reject). All four policies are
-/// deterministic functions of the plan stream.
+/// happens next (queue, spill, reject). Every policy is a
+/// deterministic function of the plan stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlacementPolicy {
     /// Lowest-indexed device whose projected demand still fits its
@@ -75,28 +74,21 @@ pub enum PlacementPolicy {
     FirstFit,
     /// Device with the least projected resident-demand bytes.
     LoadBalanced,
-    /// Device whose *restore debt* after the placement is lowest: the
-    /// bytes the placement would force below the device tier
-    /// ([`TierCapacities::device_overflow_bytes`]), ties broken by
-    /// least demand.
-    TierPressure,
     /// Load-balanced placement with KV migration for rebalancing: a
     /// session's prefilled context resides on its affinity home
     /// (`id mod N`, the device that served it last); placing it
     /// elsewhere copies the resident initial-context KV across the
     /// fabric first, and the session's effective arrival waits for the
-    /// copy. The copies are scheduled as lowest-priority fabric work,
-    /// decided then drained like the tier manager's
-    /// [`MigrationTask`](crate::memory::MigrationTask)s.
+    /// copy. Each copy is scheduled as lowest-priority fabric work the
+    /// moment the placer decides it.
     Migrate,
 }
 
 impl PlacementPolicy {
     /// Every policy, in presentation order.
-    pub const ALL: [PlacementPolicy; 4] = [
+    pub const ALL: [PlacementPolicy; 3] = [
         PlacementPolicy::FirstFit,
         PlacementPolicy::LoadBalanced,
-        PlacementPolicy::TierPressure,
         PlacementPolicy::Migrate,
     ];
 
@@ -105,25 +97,9 @@ impl PlacementPolicy {
         match self {
             PlacementPolicy::FirstFit => "first-fit",
             PlacementPolicy::LoadBalanced => "load-balanced",
-            PlacementPolicy::TierPressure => "tier-pressure",
             PlacementPolicy::Migrate => "migrate",
         }
     }
-}
-
-/// One pending cross-device KV migration decided by the placer, in the
-/// same shape as the tier-to-tier [`crate::memory::MigrationTask`]:
-/// who moves, between which devices, and how many bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeviceMigration {
-    /// Session whose resident context moves.
-    pub session: usize,
-    /// Source device (the session's affinity home).
-    pub from: usize,
-    /// Destination device (where the session was placed).
-    pub to: usize,
-    /// Resident KV bytes copied across the fabric.
-    pub bytes: u64,
 }
 
 /// Fabric-side accounting of one sharded run. Integer picoseconds
@@ -188,11 +164,6 @@ impl ShardedServeReport {
         self.devices.iter().map(|r| r.admitted).sum()
     }
 
-    /// Sessions that waited in an admission queue, across the pool.
-    pub fn queued(&self) -> usize {
-        self.devices.iter().map(|r| r.queued).sum()
-    }
-
     /// Sessions rejected across the pool.
     pub fn rejected(&self) -> usize {
         self.devices.iter().map(|r| r.rejected).sum()
@@ -201,16 +172,6 @@ impl ShardedServeReport {
     /// Admitted sessions that stayed real-time, across the pool.
     pub fn real_time_sessions(&self) -> usize {
         self.devices.iter().map(|r| r.real_time_sessions).sum()
-    }
-
-    /// Whether every device sustained its whole routed sub-fleet in
-    /// real time (vacuously true for devices routed nothing).
-    pub fn sustained_real_time(&self) -> bool {
-        self.offered() > 0
-            && self
-                .devices
-                .iter()
-                .all(|r| r.offered == 0 || r.sustained_real_time())
     }
 }
 
@@ -224,8 +185,6 @@ struct Placer<'a> {
     /// Per-device fit bound for [`PlacementPolicy::FirstFit`], matched
     /// to the admission policy the devices will actually run.
     fit_bytes: u64,
-    /// Per-device tier budgets (restore-debt computation).
-    caps: TierCapacities,
     /// Projected resident-demand bytes currently tracked per device.
     demand: Vec<u64>,
     /// Tracked sessions per device, keyed `(expiry ps, session id)` →
@@ -233,8 +192,6 @@ struct Placer<'a> {
     /// `Vec` of ordered maps — placement iteration order is the device
     /// index, never hash order.
     resident: Vec<BTreeMap<(u64, usize), u64>>,
-    /// Migrations decided but not yet scheduled on the fabric.
-    pending: Vec<DeviceMigration>,
 }
 
 impl<'a> Placer<'a> {
@@ -245,10 +202,9 @@ impl<'a> Placer<'a> {
         cfg: &'a ServeConfig,
         policy: PlacementPolicy,
     ) -> Self {
-        let caps = sys.kv_tier_capacities(model);
         let fit_bytes = match cfg.admission {
             AdmissionPolicy::RejectOnly => sys.device_kv_budget_bytes(model),
-            AdmissionPolicy::Tiered { .. } => caps.total_bytes(),
+            AdmissionPolicy::Tiered { .. } => sys.kv_tier_capacities(model).total_bytes(),
         };
         Placer {
             policy,
@@ -257,10 +213,8 @@ impl<'a> Placer<'a> {
             cfg,
             frame_interval_ps: seconds_to_ps(1.0 / cfg.fps),
             fit_bytes,
-            caps,
             demand: vec![0; pool.devices()],
             resident: vec![BTreeMap::new(); pool.devices()],
-            pending: Vec::new(),
         }
     }
 
@@ -289,9 +243,11 @@ impl<'a> Placer<'a> {
         best
     }
 
-    /// Routes one plan, updating the trackers; may push a pending
-    /// migration under [`PlacementPolicy::Migrate`].
-    fn place(&mut self, plan: &SessionPlan) -> usize {
+    /// Routes one plan, updating the trackers. Returns the target device
+    /// and, under [`PlacementPolicy::Migrate`] when the target is not
+    /// the session's affinity home, the `(home, context bytes)` copy the
+    /// placement needs.
+    fn place(&mut self, plan: &SessionPlan) -> (usize, Option<(usize, u64)>) {
         self.expire(plan.arrival_ps);
         let proj = self.cfg.initial_cache_tokens
             + plan.total_cache_growth_tokens(self.model.tokens_per_frame);
@@ -301,22 +257,8 @@ impl<'a> Placer<'a> {
                 .find(|&d| self.demand[d] + bytes <= self.fit_bytes)
                 .unwrap_or_else(|| self.least_loaded()),
             PlacementPolicy::LoadBalanced | PlacementPolicy::Migrate => self.least_loaded(),
-            PlacementPolicy::TierPressure => {
-                let mut best = 0;
-                let mut best_key = (u64::MAX, u64::MAX);
-                for d in 0..self.demand.len() {
-                    let key = (
-                        self.caps.device_overflow_bytes(self.demand[d] + bytes),
-                        self.demand[d],
-                    );
-                    if key < best_key {
-                        best_key = key;
-                        best = d;
-                    }
-                }
-                best
-            }
         };
+        let mut copy = None;
         if self.policy == PlacementPolicy::Migrate {
             let home = plan.id % self.demand.len();
             if home != target {
@@ -324,12 +266,7 @@ impl<'a> Placer<'a> {
                     .sys
                     .resident_demand_bytes(self.model, self.cfg.initial_cache_tokens);
                 if context_bytes > 0 {
-                    self.pending.push(DeviceMigration {
-                        session: plan.id,
-                        from: home,
-                        to: target,
-                        bytes: context_bytes,
-                    });
+                    copy = Some((home, context_bytes));
                 }
             }
         }
@@ -338,7 +275,7 @@ impl<'a> Placer<'a> {
             .arrival_ps
             .saturating_add(plan.span_estimate_ps(self.frame_interval_ps));
         self.resident[target].insert((expiry, plan.id), bytes);
-        target
+        (target, copy)
     }
 }
 
@@ -346,7 +283,7 @@ impl<'a> Placer<'a> {
 /// sub-fleet vectors, recycled across repeated sharded serves.
 ///
 /// A sweep that serves many fleets over one pool (`device_scaling`
-/// drives 4 policies × up to 7 fleet sizes per unit) previously
+/// drives 3 policies × up to 7 fleet sizes per unit) previously
 /// allocated fresh per-device `Vec`s on every serve; a recycled scratch
 /// keeps the grown capacities, so after the first serve of a unit the
 /// routing pass allocates nothing for its sub-fleet spines. Fresh
@@ -394,14 +331,13 @@ fn route(
     let mut placements = Vec::with_capacity(hint);
     let mut report = InterconnectReport::default();
     while let Some(mut plan) = source.next_plan() {
-        let target = placer.place(&plan);
-        // Drained in place: the buffer keeps its capacity across plans.
-        for m in placer.pending.drain(..) {
+        let (target, copy) = placer.place(&plan);
+        if let Some((home, bytes)) = copy {
             let span = fabric.copy(
                 &mut engine,
-                m.from,
-                m.to,
-                m.bytes,
+                home,
+                target,
+                bytes,
                 MIGRATION_CHUNK_BYTES,
                 plan.arrival_ps,
                 "kv-migrate",
@@ -410,7 +346,7 @@ fn route(
             // context lands there.
             plan.arrival_ps = plan.arrival_ps.max(span.end_ps);
             report.migrations += 1;
-            report.migrated_bytes += m.bytes;
+            report.migrated_bytes += bytes;
         }
         placements.push((plan.id, target));
         scratch.routed[target].push(plan);
@@ -591,7 +527,8 @@ pub fn serve_sharded_traced_with_workers(
 mod tests {
     use super::*;
     use crate::platform::PlatformSpec;
-    use crate::serve::{serve_traced, TraceKind};
+    use crate::serve::serve_traced;
+    use crate::serve::tests::trace_fingerprint;
     use vrex_hwsim::interconnect::{CopySpan, InterconnectConfig};
     use vrex_workload::traffic::TrafficConfig;
 
@@ -607,26 +544,6 @@ mod tests {
             seed,
         }
         .generate()
-    }
-
-    /// FNV-1a over `(ps, kind)` pairs — the same fold the single-device
-    /// golden-trace tests use, so cross-suite fingerprints compare.
-    fn trace_fingerprint(trace: &[TraceEvent]) -> (usize, u64) {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for e in trace {
-            for b in e.ps.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-            h ^= match e.kind {
-                TraceKind::Arrival => 0u64,
-                TraceKind::Patience => 1,
-                TraceKind::WorkReady => 2,
-                TraceKind::StepComplete => 3,
-            };
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        (trace.len(), h)
     }
 
     /// The N = 1 byte-identity contract: a one-device pool reproduces

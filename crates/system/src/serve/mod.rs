@@ -456,4 +456,4 @@ pub(crate) fn run(
 }
 
 #[cfg(test)]
-mod tests;
+pub(crate) mod tests;

@@ -378,8 +378,9 @@ fn tiered_rejects_only_when_the_whole_hierarchy_is_full() {
     assert_eq!(r.rejected, 2);
 }
 
-/// FNV-1a over (ps, kind) pairs — the golden-trace fingerprint.
-fn trace_fingerprint(trace: &[TraceEvent]) -> (usize, u64) {
+/// FNV-1a over (ps, kind) pairs — the golden-trace fingerprint, shared
+/// with the placement tests so cross-suite fingerprints compare.
+pub(crate) fn trace_fingerprint(trace: &[TraceEvent]) -> (usize, u64) {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for e in trace {
         for b in e.ps.to_le_bytes() {

@@ -7,9 +7,9 @@ use vrex_system::pipeline::{cold_selected_tokens, layer_costs, selected_tokens, 
 use vrex_system::serve::SessionOutcome;
 use vrex_system::{
     serve, serve_sharded, serve_sharded_stream, serve_sharded_traced_with_workers,
-    serve_sharded_with_cache_in, serve_stream, serve_traced, DevicePool, Method, PlacementPolicy,
-    PlatformSpec, ServeConfig, ShardScratch, StepPriceCache, SystemModel, TieredKvManager,
-    TraceKind,
+    serve_sharded_with_cache_in, serve_stream, serve_traced, DevicePool, InterconnectReport,
+    Method, PlacementPolicy, PlatformSpec, ServeConfig, ShardScratch, StepPriceCache, SystemModel,
+    TieredKvManager, TraceKind,
 };
 use vrex_workload::traffic::TrafficConfig;
 
@@ -498,7 +498,7 @@ proptest! {
         cache in 2_000usize..40_000,
         seed in 0u64..300,
         devices in 1usize..4,
-        policy_idx in 0usize..4,
+        policy_idx in 0..PlacementPolicy::ALL.len(),
     ) {
         let policy = PlacementPolicy::ALL[policy_idx];
         let traffic = TrafficConfig {
@@ -559,7 +559,7 @@ proptest! {
         cache in 2_000usize..40_000,
         seed in 0u64..300,
         devices in 2usize..5,
-        policy_idx in 0usize..4,
+        policy_idx in 0..PlacementPolicy::ALL.len(),
     ) {
         let policy = PlacementPolicy::ALL[policy_idx];
         let plans = TrafficConfig {
@@ -610,7 +610,7 @@ proptest! {
         cache in 8_000usize..40_000,
         seed in 0u64..300,
         devices in 1usize..3,
-        policy_idx in 0usize..4,
+        policy_idx in 0..PlacementPolicy::ALL.len(),
     ) {
         let policy = PlacementPolicy::ALL[policy_idx];
         let plans = TrafficConfig {
@@ -640,6 +640,52 @@ proptest! {
             "real-time sessions shrank from {} to {} going {} -> {} devices under {:?}",
             small.real_time_sessions(), large.real_time_sessions(), devices, devices + 1, policy
         );
+    }
+
+    /// `Migrate` places exactly like `LoadBalanced`; it differs only in
+    /// pricing the context copy of every off-home placement. Over
+    /// random fleets, pools of 1–4 devices, reject-only admission and
+    /// tiered admission on both drivers: the placement maps are equal,
+    /// `LoadBalanced` leaves the fabric idle, and `Migrate` counts one
+    /// migration per session placed off its affinity home
+    /// (`id mod devices`).
+    #[test]
+    fn migrate_places_like_load_balanced(
+        sessions in 1usize..7,
+        turns in 0usize..3,
+        spread in 0.0f64..10.0,
+        seed in 0u64..300,
+        devices in 1usize..5,
+    ) {
+        let plans = TrafficConfig {
+            sessions,
+            turns,
+            arrival_spread_s: spread,
+            seed,
+        }
+        .generate();
+        let pool = DevicePool::homogeneous(PlatformSpec::vrex48(), devices);
+        let model = ModelConfig::llama3_8b();
+        for cfg in [
+            ServeConfig::real_time(8_000),
+            ServeConfig::real_time_tiered(30_000),
+            ServeConfig::real_time_tiered(30_000).with_overlap(true),
+        ] {
+            let balanced = serve_sharded(
+                &pool, Method::ReSV, &model, &plans, &cfg, PlacementPolicy::LoadBalanced,
+            );
+            let migrate = serve_sharded(
+                &pool, Method::ReSV, &model, &plans, &cfg, PlacementPolicy::Migrate,
+            );
+            prop_assert_eq!(&migrate.placements, &balanced.placements);
+            prop_assert_eq!(balanced.interconnect, InterconnectReport::default());
+            let off_home = migrate
+                .placements
+                .iter()
+                .filter(|&&(id, d)| id % devices != d)
+                .count();
+            prop_assert_eq!(migrate.interconnect.migrations, off_home);
+        }
     }
 }
 

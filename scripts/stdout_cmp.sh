@@ -6,8 +6,10 @@
 # scaling, realtime_session, the full serve_capacity and device_scaling
 # sweeps and the --smoke capacity gates — and the four examples on
 # both sides, `cmp`s each pair and prints one line per artifact
-# (`same <lines>` or `DIFFER`). The last line is `stdout: identical`
-# or `stdout: DIFFER (<names>)`; any difference exits 1.
+# (`same <lines>` or `DIFFER`). A `DIFFER` line is followed by the
+# first 40 lines of `diff -u <parent> <change>` for that artifact, so
+# the log shows what moved. The last line is `stdout: identical` or
+# `stdout: DIFFER (<names>)`; any difference exits 1.
 #
 #   scripts/stdout_cmp.sh <parent-rev>
 #
@@ -97,6 +99,7 @@ for name in $(printf '%s\n' "$artifacts" | sed -n 's/^\([^|]*\)|.*/\1/p'); do
         printf '%-30s same %s\n' "$name" "$(wc -l <"$a" | tr -d ' ')"
     else
         printf '%-30s DIFFER\n' "$name"
+        diff -u "$a" "$b" | head -n 40
         differ="$differ${differ:+ }$name"
     fi
 done
