@@ -152,21 +152,9 @@ pub fn run_fifo(
     ledger
 }
 
-/// Nearest-rank percentile of `samples` (`p` in `[0, 100]`).
-///
-/// Copies and sorts internally (sample sets here are small); returns 0
-/// for an empty slice. NaN-free input is assumed — times are computed,
-/// not measured. Callers reading several percentiles off one sample
-/// set should sort once and use [`percentile_sorted`] instead of
-/// re-sorting per read.
-pub fn percentile(samples: &[f64], p: f64) -> f64 {
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable_by(f64::total_cmp);
-    percentile_sorted(&sorted, p)
-}
-
 /// Nearest-rank percentile of an already ascending-sorted slice
-/// (`p` in `[0, 100]`); returns 0 for an empty slice.
+/// (`p` in `[0, 100]`); returns 0 for an empty slice. NaN-free input is
+/// assumed — times are computed, not measured.
 pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "input not sorted");
     if sorted.is_empty() {
@@ -182,21 +170,25 @@ fn nearest_rank(n: usize, p: f64) -> usize {
 }
 
 /// Nearest-rank percentiles `lo ≤ hi` of `samples`, by selection
-/// instead of a sort: `hi`'s rank is selected over the whole slice,
-/// then `lo`'s inside the partition left of it. O(n) expected, and
-/// `samples` is left partially reordered. Under [`f64::total_cmp`]
-/// the k-th smallest element is unique to the bit, so each result is
-/// bit-identical to [`percentile_sorted`] over the sorted samples.
-/// Returns `(0, 0)` for an empty slice.
-pub(crate) fn percentile_pair(samples: &mut [f64], lo: f64, hi: f64) -> (f64, f64) {
+/// instead of a sort. O(n) expected, and `samples` is left partially
+/// reordered. Each result is bit-identical to [`percentile_sorted`]
+/// over the sorted samples (see [`select_pair`]). Returns `(0, 0)` for
+/// an empty slice. This is [`percentile_pair_of`]'s whole work when
+/// its samples fit one gather buffer.
+fn percentile_pair(samples: &mut [f64], lo: f64, hi: f64) -> (f64, f64) {
     debug_assert!(lo <= hi, "percentiles out of order");
     if samples.is_empty() {
         return (0.0, 0.0);
     }
-    let (k_lo, k_hi) = (
-        nearest_rank(samples.len(), lo),
-        nearest_rank(samples.len(), hi),
-    );
+    let n = samples.len();
+    select_pair(samples, nearest_rank(n, lo), nearest_rank(n, hi))
+}
+
+/// The `k_lo`-th and `k_hi`-th smallest of `samples` (0-based,
+/// `k_lo ≤ k_hi < len`) under [`f64::total_cmp`]: `k_hi` is selected
+/// over the whole slice, then `k_lo` inside the partition left of it.
+/// Under a total order the k-th smallest element is unique to the bit.
+fn select_pair(samples: &mut [f64], k_lo: usize, k_hi: usize) -> (f64, f64) {
     let (left, &mut at_hi, _) = samples.select_nth_unstable_by(k_hi, f64::total_cmp);
     let at_lo = if k_lo == k_hi {
         at_hi
@@ -204,6 +196,179 @@ pub(crate) fn percentile_pair(samples: &mut [f64], lo: f64, hi: f64) -> (f64, f6
         *left.select_nth_unstable_by(k_lo, f64::total_cmp).1
     };
     (at_lo, at_hi)
+}
+
+/// The most samples [`percentile_pair_of`] copies into one buffer
+/// (2²² × 8 B = 32 MiB). Sample sets at or under it are gathered whole;
+/// larger ones are first narrowed by radix passes.
+const GATHER_CAP: usize = 1 << 22;
+
+/// Bits of the order key resolved per narrowing pass.
+const DIGIT_BITS: u32 = 16;
+
+/// Width of the order key.
+const KEY_BITS: u32 = u64::BITS;
+
+/// `x`'s position in the [`f64::total_cmp`] order as an unsigned key:
+/// `a.total_cmp(&b) == order_key(a).cmp(&order_key(b))`.
+fn order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> (KEY_BITS - 1) == 1 {
+        !bits
+    } else {
+        bits | 1 << (KEY_BITS - 1)
+    }
+}
+
+/// The inverse of [`order_key`].
+fn from_order_key(key: u64) -> f64 {
+    f64::from_bits(if key >> (KEY_BITS - 1) == 1 {
+        key & !(1 << (KEY_BITS - 1))
+    } else {
+        !key
+    })
+}
+
+/// The order keys one target rank can still lie among: those whose top
+/// `depth` bits equal `base`'s (the rest of `base` is zero). `count`
+/// samples fall inside, and the target is the `rank`-th smallest of
+/// them (0-based).
+#[derive(Debug, Clone, Copy)]
+struct Window {
+    base: u64,
+    depth: u32,
+    count: usize,
+    rank: usize,
+}
+
+impl Window {
+    /// Whether another narrowing pass is due: too many samples to
+    /// gather, and key bits left to resolve.
+    fn wide(&self, cap: usize) -> bool {
+        self.count > cap && self.depth < KEY_BITS
+    }
+
+    /// The mask of the resolved (top `depth`) key bits.
+    fn resolved_mask(&self) -> u64 {
+        !u64::MAX.checked_shr(self.depth).unwrap_or(0)
+    }
+
+    fn same_keys(&self, other: &Window) -> bool {
+        (self.base, self.depth) == (other.base, other.depth)
+    }
+
+    /// Moves one digit down into the bucket of `hist` (this window's
+    /// next-digit histogram) that holds the rank.
+    fn narrow(&mut self, hist: &[usize]) {
+        let (mut digit, mut below) = (0, 0);
+        while below + hist[digit] <= self.rank {
+            below += hist[digit];
+            digit += 1;
+        }
+        self.depth += DIGIT_BITS;
+        self.base |= (digit as u64) << (KEY_BITS - self.depth);
+        self.count = hist[digit];
+        self.rank -= below;
+    }
+}
+
+/// Nearest-rank percentiles `lo ≤ hi` over the concatenation of the
+/// slices `sets()` yields, without ever holding that concatenation:
+/// bit-identical to [`percentile_sorted`] over it, `(0, 0)` when it is
+/// empty.
+///
+/// A concatenation of at most [`GATHER_CAP`] samples is gathered into
+/// one buffer and read by [`percentile_pair`], with no histogram.
+/// Above it, each rank keeps a window of [`f64::total_cmp`] order keys
+/// and narrows it by MSD radix passes over every slice, one 16-bit
+/// digit per pass (ranks sharing a window share the pass and its
+/// histogram), until the window holds at most the cap or is one exact
+/// key. One last pass copies each window still wider than a key, and
+/// the rank is selected inside that copy. Scratch is at most two
+/// windows of the cap plus one 2¹⁶-bucket histogram at any size.
+pub(crate) fn percentile_pair_of<'a, I>(sets: impl Fn() -> I, lo: f64, hi: f64) -> (f64, f64)
+where
+    I: Iterator<Item = &'a [f64]>,
+{
+    let (at_lo, at_hi, _) = percentile_pair_capped(sets, lo, hi, GATHER_CAP);
+    (at_lo, at_hi)
+}
+
+/// [`percentile_pair_of`] at gather cap `cap`, also returning the most
+/// samples copied into one buffer (never more than `cap`).
+fn percentile_pair_capped<'a, I>(
+    sets: impl Fn() -> I,
+    lo: f64,
+    hi: f64,
+    cap: usize,
+) -> (f64, f64, usize)
+where
+    I: Iterator<Item = &'a [f64]>,
+{
+    debug_assert!(lo <= hi, "percentiles out of order");
+    let n: usize = sets().map(<[f64]>::len).sum();
+    if n <= cap {
+        let mut all = Vec::with_capacity(n);
+        for set in sets() {
+            all.extend_from_slice(set);
+        }
+        let (at_lo, at_hi) = percentile_pair(&mut all, lo, hi);
+        return (at_lo, at_hi, n);
+    }
+    let mut w = [lo, hi].map(|p| Window {
+        base: 0,
+        depth: 0,
+        count: n,
+        rank: nearest_rank(n, p),
+    });
+    let mut hist = vec![0usize; 1 << DIGIT_BITS];
+    while let Some(i) = (0..2).find(|&i| w[i].wide(cap)) {
+        let win = w[i];
+        let (mask, shift) = (win.resolved_mask(), KEY_BITS - DIGIT_BITS - win.depth);
+        hist.fill(0);
+        for set in sets() {
+            for &x in set {
+                let key = order_key(x);
+                if key & mask == win.base {
+                    hist[(key >> shift) as usize & ((1 << DIGIT_BITS) - 1)] += 1;
+                }
+            }
+        }
+        for v in w.iter_mut().filter(|v| v.same_keys(&win)) {
+            v.narrow(&hist);
+        }
+    }
+    // A window narrowed to one key is its answer; the others are
+    // copied, a window both ranks share once.
+    let exact = w.map(|v| v.depth == KEY_BITS);
+    let shared = w[0].same_keys(&w[1]);
+    let own = [!exact[0], !exact[1] && !shared];
+    let mut bufs = [0, 1].map(|i| Vec::with_capacity(if own[i] { w[i].count } else { 0 }));
+    if own.contains(&true) {
+        let masks = w.map(|v| v.resolved_mask());
+        for set in sets() {
+            for &x in set {
+                let key = order_key(x);
+                for i in 0..2 {
+                    if own[i] && key & masks[i] == w[i].base {
+                        bufs[i].push(x);
+                    }
+                }
+            }
+        }
+    }
+    let gathered = bufs[0].len().max(bufs[1].len());
+    let [mut at_lo, mut at_hi] = w.map(|v| from_order_key(v.base));
+    if shared && own[0] {
+        (at_lo, at_hi) = select_pair(&mut bufs[0], w[0].rank, w[1].rank);
+    } else {
+        for (i, at) in [&mut at_lo, &mut at_hi].into_iter().enumerate() {
+            if own[i] {
+                *at = select_pair(&mut bufs[i], w[i].rank, w[i].rank).1;
+            }
+        }
+    }
+    (at_lo, at_hi, gathered)
 }
 
 #[cfg(test)]
@@ -262,11 +427,48 @@ mod tests {
 
     #[test]
     fn percentile_nearest_rank() {
-        let s = [4.0, 1.0, 3.0, 2.0];
-        assert_eq!(percentile(&s, 50.0), 2.0);
-        assert_eq!(percentile(&s, 99.0), 4.0);
-        assert_eq!(percentile(&s, 0.0), 1.0);
-        assert_eq!(percentile(&[], 50.0), 0.0);
+        let s = [1.0, 2.0, 3.0, 4.0];
+        assert_eq!(percentile_sorted(&s, 50.0), 2.0);
+        assert_eq!(percentile_sorted(&s, 99.0), 4.0);
+        assert_eq!(percentile_sorted(&s, 0.0), 1.0);
+        assert_eq!(percentile_sorted(&[], 50.0), 0.0);
+    }
+
+    /// The order key sorts like `f64::total_cmp` and inverts to the bit.
+    #[test]
+    fn order_key_follows_total_cmp() {
+        let xs = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        for pair in xs.windows(2) {
+            assert!(order_key(pair[0]) < order_key(pair[1]), "{pair:?}");
+        }
+        for x in xs {
+            assert_eq!(from_order_key(order_key(x)).to_bits(), x.to_bits());
+        }
+    }
+
+    /// A sample of the selection proptest's pool: ±0, one value many
+    /// times over, and neighbours of ±1 that first differ from it at
+    /// 16-bit key digit `3 − digit`.
+    fn pooled(kind: u8, step: u64, digit: u32) -> f64 {
+        let near_one = f64::from_bits(1.0f64.to_bits() + (step << (16 * digit)));
+        match kind {
+            0 => 0.0,
+            1 => -0.0,
+            2 => -near_one,
+            3 => near_one,
+            _ => 1.5,
+        }
     }
 
     #[test]
@@ -292,10 +494,19 @@ mod tests {
         assert_eq!(sized, l);
     }
 
-    /// Selection at n ∈ {0, 1, 2}, and where both ranks coincide.
+    /// Selection at n ∈ {0, 1, 2}, and where both ranks coincide; the
+    /// copy-free selection over no slices and over empty ones.
     #[test]
     fn percentile_pair_edges() {
         assert_eq!(percentile_pair(&mut [], 50.0, 99.0), (0.0, 0.0));
+        let none: [&[f64]; 0] = [];
+        assert_eq!(
+            percentile_pair_of(|| none.into_iter(), 50.0, 99.0),
+            (0.0, 0.0)
+        );
+        let empties: [&[f64]; 3] = [&[], &[], &[]];
+        let got = percentile_pair_capped(|| empties.into_iter(), 50.0, 99.0, 0);
+        assert_eq!(got, (0.0, 0.0, 0));
         assert_eq!(percentile_pair(&mut [7.0], 50.0, 99.0), (7.0, 7.0));
         assert_eq!(percentile_pair(&mut [9.0, 7.0], 50.0, 99.0), (7.0, 9.0));
         assert_eq!(
@@ -334,6 +545,50 @@ mod tests {
                 let (a, b) = percentile_pair(&mut samples.clone(), lo, hi);
                 prop_assert_eq!(a.to_bits(), percentile_sorted(&sorted, lo).to_bits());
                 prop_assert_eq!(b.to_bits(), percentile_sorted(&sorted, hi).to_bits());
+            }
+        }
+    }
+
+    proptest! {
+        // Each case runs 12 selections, most through 2¹⁶-bucket
+        // passes, which an unoptimized test build pays for per bucket.
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The copy-free selection over many slices equals
+        /// `percentile_sorted` over their sorted concatenation, bit for
+        /// bit, at gather caps that force every narrowing depth (0
+        /// resolves every rank to a full key), and never copies more
+        /// than the cap into one buffer. The pool mixes ±0, negatives
+        /// and a heavy duplicate; a lone far outlier leaves most
+        /// samples sharing one top digit.
+        #[test]
+        fn percentile_pair_of_matches_sorted_percentiles(
+            sessions in proptest::collection::vec(
+                proptest::collection::vec((0u8..6, 0u64..4, 0u32..4), 0..6),
+                0..30,
+            ),
+            outlier in proptest::option::of(0usize..30),
+            p in (0.0f64..100.0, 0.0f64..100.0),
+        ) {
+            let mut sets: Vec<Vec<f64>> = sessions
+                .iter()
+                .map(|s| s.iter().map(|&(kind, step, digit)| pooled(kind, step, digit)).collect())
+                .collect();
+            if let (Some(at), false) = (outlier, sets.is_empty()) {
+                let len = sets.len();
+                sets[at % len].push(1e300);
+            }
+            let mut sorted: Vec<f64> = sets.concat();
+            sorted.sort_unstable_by(f64::total_cmp);
+            let (lo, hi) = (p.0.min(p.1), p.0.max(p.1));
+            for cap in [0, 1, 3, 64] {
+                for (lo, hi) in [(50.0, 99.0), (lo, hi), (lo, lo)] {
+                    let (a, b, gathered) =
+                        percentile_pair_capped(|| sets.iter().map(Vec::as_slice), lo, hi, cap);
+                    prop_assert_eq!(a.to_bits(), percentile_sorted(&sorted, lo).to_bits());
+                    prop_assert_eq!(b.to_bits(), percentile_sorted(&sorted, hi).to_bits());
+                    prop_assert!(gathered <= cap, "gathered {} over cap {}", gathered, cap);
+                }
             }
         }
     }

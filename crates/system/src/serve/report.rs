@@ -8,7 +8,7 @@ use vrex_workload::traffic::SessionPlan;
 use super::stream::Stream;
 use super::Sched;
 use crate::memory::RestorePlan;
-use crate::queueing::percentile_pair;
+use crate::queueing::percentile_pair_of;
 
 /// Why a session ended up where it did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -343,45 +343,32 @@ pub(super) fn rejected_report(plan: &SessionPlan, waited_ps: u64) -> SessionServ
 
 impl Sched<'_> {
     /// Fleet aggregation: percentiles over every frame/turn of every
-    /// admitted session. The three sample sets are gathered one at a
-    /// time into one buffer, sized once for the largest, and each
-    /// p50/p99 pair is found by selection ([`percentile_pair`]), not a
-    /// sort.
+    /// admitted session. Each sample set's p50/p99 pair is selected
+    /// over the admitted reports' own slices ([`percentile_pair_of`]),
+    /// so no buffer here grows with the fleet.
     pub(super) fn finish(self) -> ServeReport {
         let reports = self.reports;
-        let admitted: Vec<&SessionServeReport> = reports
-            .iter()
-            .filter(|r| r.outcome != SessionOutcome::Rejected)
-            .collect();
+        let admitted_reports = || {
+            reports
+                .iter()
+                .filter(|r| r.outcome != SessionOutcome::Rejected)
+        };
         let sets: [fn(&SessionServeReport) -> &[f64]; 3] =
             [|r| &r.frame_lags_s, |r| &r.ttft_s, |r| &r.tpot_s];
-        let largest = sets
-            .iter()
-            .map(|set| admitted.iter().map(|r| set(r).len()).sum::<usize>())
-            .max()
-            .unwrap_or(0);
-        let mut buf: Vec<f64> = Vec::with_capacity(largest);
         let [(frame_lag_p50_s, frame_lag_p99_s), (ttft_p50_s, ttft_p99_s), (tpot_p50_s, tpot_p99_s)] =
-            sets.map(|set| {
-                buf.clear();
-                for r in &admitted {
-                    buf.extend_from_slice(set(r));
-                }
-                percentile_pair(&mut buf, 50.0, 99.0)
-            });
-        drop(buf);
+            sets.map(|set| percentile_pair_of(|| admitted_reports().map(set), 50.0, 99.0));
+        let (mut admitted, mut queued, mut real_time_sessions) = (0, 0, 0);
+        for r in admitted_reports() {
+            admitted += 1;
+            queued += usize::from(r.outcome == SessionOutcome::AdmittedAfterWait);
+            real_time_sessions += usize::from(r.real_time);
+        }
         ServeReport {
             offered: self.offered,
-            admitted: admitted.len(),
-            queued: admitted
-                .iter()
-                .filter(|r| r.outcome == SessionOutcome::AdmittedAfterWait)
-                .count(),
-            rejected: reports
-                .iter()
-                .filter(|r| r.outcome == SessionOutcome::Rejected)
-                .count(),
-            real_time_sessions: admitted.iter().filter(|r| r.real_time).count(),
+            admitted,
+            queued,
+            rejected: reports.len() - admitted,
+            real_time_sessions,
             frame_lag_p50_s,
             frame_lag_p99_s,
             ttft_p50_s,
