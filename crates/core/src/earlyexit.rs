@@ -81,23 +81,24 @@ pub fn early_exit_select_row(
     );
     let bucket_of = bucketing(min, max, n_buckets);
 
-    // Bucket once: a counting sort of the indices by score range, so
-    // bucket `b`'s members are `order[start[b]..start[b + 1]]`,
-    // ascending. The WTU finds the same members with one comparator
-    // pass over the row per visited bucket; `elements_scanned` below
-    // still counts those passes.
+    // Bucket once: a counting sort of the elements by score range, so
+    // bucket `b`'s members are `order[start[b]..start[b + 1]]`. The WTU
+    // finds the same members with one comparator pass over the row per
+    // visited bucket; `elements_scanned` below still counts those
+    // passes.
+    let buckets: Vec<usize> = scores.iter().map(|&s| bucket_of(s)).collect();
     let mut start = vec![0u32; n_buckets + 1];
-    for &s in scores {
-        start[bucket_of(s) + 1] += 1;
+    for &b in &buckets {
+        start[b + 1] += 1;
     }
     for b in 0..n_buckets {
         start[b + 1] += start[b];
     }
     let mut next = start.clone();
-    let mut order = vec![0u32; scores.len()];
-    for (i, &s) in scores.iter().enumerate() {
-        let slot = &mut next[bucket_of(s)];
-        order[*slot as usize] = i as u32;
+    let mut order = vec![0u64; scores.len()];
+    for (i, (&s, &b)) in scores.iter().zip(&buckets).enumerate() {
+        let slot = &mut next[b];
+        order[*slot as usize] = visit_key(s, i as u32);
         *slot += 1;
     }
 
@@ -112,13 +113,13 @@ pub fn early_exit_select_row(
             continue;
         }
         // Small within-bucket sort keeps the visit order globally
-        // descending (exact equivalence with the full sort). The key
-        // (score desc, index asc) is total over distinct indices, so an
-        // unstable sort gives the one order a stable sort would.
-        members.sort_unstable_by(|&a, &bb| by_score_desc(scores, a as usize, bb as usize));
+        // descending (exact equivalence with the full sort). The keys
+        // are distinct, so an unstable sort gives the one order a
+        // stable sort would.
+        members.sort_unstable();
         stats.elements_sorted += members.len();
-        for &idx in members.iter() {
-            let idx = idx as usize;
+        for &key in members.iter() {
+            let idx = key as u32 as usize;
             selected.push(idx);
             acc += scores[idx] as f64 * counts[idx] as f64;
             if acc > threshold {
@@ -127,6 +128,18 @@ pub fn early_exit_select_row(
         }
     }
     (selected, stats)
+}
+
+/// WiCSum's visit order as one integer: ascending keys are descending
+/// scores, ties by ascending index. The score is non-negative, so its
+/// bits order like its value once `-0.0` reads as `0.0`; they are
+/// inverted into the high half, and the index fills the low half.
+fn visit_key(score: f32, index: u32) -> u64 {
+    let bits = match score.to_bits() {
+        0x8000_0000 => 0,
+        bits => bits,
+    };
+    u64::from(!bits) << 32 | u64::from(index)
 }
 
 /// The bucket of a score: `n_buckets` equal ranges over `[min, max]`,
@@ -143,6 +156,7 @@ fn bucketing(min: f32, max: f32, n_buckets: usize) -> impl Fn(f32) -> usize {
 }
 
 /// WiCSum's visit order: descending score, ties by ascending index.
+#[cfg(test)]
 fn by_score_desc(scores: &[f32], a: usize, b: usize) -> std::cmp::Ordering {
     scores[b]
         .partial_cmp(&scores[a])

@@ -6,16 +6,20 @@
 //! mean of member keys (the paper's `Key_cluster`), and its hash bits
 //! are re-derived from that mean whenever the cluster absorbs a token,
 //! matching the "Update" arrow of Fig. 8.
+//!
+//! The table keeps the selection's operands current as tokens arrive:
+//! the representatives as one `(n_clusters × dim)` matrix and the member
+//! counts as one slice. A join rewrites one row and one count; a new
+//! cluster appends one of each.
 
 use vrex_tensor::Matrix;
 
 use crate::hashbit::{HashBitVector, HyperplaneSet};
 
-/// One cluster of similar tokens.
+/// One cluster of similar tokens. Its representative key is its row of
+/// [`HcTable::representatives`].
 #[derive(Debug, Clone)]
 pub struct Cluster {
-    /// Running mean of member keys (`Key_cluster`).
-    rep_key: Vec<f32>,
     /// Hash bits of the representative key.
     rep_bits: HashBitVector,
     /// Cache-token indices of the members, ascending.
@@ -23,11 +27,6 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// The representative (mean) key.
-    pub fn rep_key(&self) -> &[f32] {
-        &self.rep_key
-    }
-
     /// The representative's hash-bit signature.
     pub fn rep_bits(&self) -> &HashBitVector {
         &self.rep_bits
@@ -60,12 +59,13 @@ pub struct ClusteringStats {
 #[derive(Debug, Clone)]
 pub struct HcTable {
     clusters: Vec<Cluster>,
+    /// Row `c` is cluster `c`'s running-mean key (`Key_cluster`).
+    reps: Matrix,
+    /// Entry `c` is cluster `c`'s member count.
+    counts: Vec<usize>,
     hamming_threshold: u32,
     n_tokens: usize,
-    /// One past the largest token index inserted (0 when empty).
-    index_end: usize,
     stats: ClusteringStats,
-    reps_cache: Option<Matrix>,
 }
 
 impl HcTable {
@@ -73,11 +73,11 @@ impl HcTable {
     pub fn new(hamming_threshold: u32) -> Self {
         Self {
             clusters: Vec::new(),
+            reps: Matrix::default(),
+            counts: Vec::new(),
             hamming_threshold,
             n_tokens: 0,
-            index_end: 0,
             stats: ClusteringStats::default(),
-            reps_cache: None,
         }
     }
 
@@ -125,27 +125,28 @@ impl HcTable {
         assert_eq!(key.len(), hyperplanes.dim(), "key dimension mismatch");
         let bits = hyperplanes.hash(key);
         self.stats.tokens_inserted += 1;
-        self.reps_cache = None;
-        self.index_end = self.index_end.max(token_index + 1);
-        for cluster in &mut self.clusters {
+        for (c, cluster) in self.clusters.iter_mut().enumerate() {
             self.stats.hamming_comparisons += 1;
             if bits.hamming_distance(&cluster.rep_bits) < self.hamming_threshold {
                 // Running-mean update of the representative key.
-                let n = cluster.token_indices.len() as f32;
-                for (r, &k) in cluster.rep_key.iter_mut().zip(key) {
+                let n = self.counts[c] as f32;
+                let rep = self.reps.row_mut(c);
+                for (r, &k) in rep.iter_mut().zip(key) {
                     *r = (*r * n + k) / (n + 1.0);
                 }
-                cluster.rep_bits = hyperplanes.hash(&cluster.rep_key);
+                cluster.rep_bits = hyperplanes.hash(rep);
                 cluster.token_indices.push(token_index);
+                self.counts[c] += 1;
                 self.n_tokens += 1;
                 return;
             }
         }
         self.clusters.push(Cluster {
-            rep_key: key.to_vec(),
             rep_bits: bits,
             token_indices: vec![token_index],
         });
+        self.reps.push_row(key);
+        self.counts.push(1);
         self.stats.clusters_created += 1;
         self.n_tokens += 1;
     }
@@ -158,40 +159,54 @@ impl HcTable {
         }
     }
 
-    /// Representative keys as an `(n_clusters × dim)` matrix (cached
-    /// between mutations) — the `Key_cluster` operand of the
-    /// `Q × Key_clusterᵀ` score computation.
-    pub fn representatives(&mut self) -> &Matrix {
-        let clusters = &self.clusters;
-        self.reps_cache.get_or_insert_with(|| {
-            let rows: Vec<&[f32]> = clusters.iter().map(|c| c.rep_key.as_slice()).collect();
-            if rows.is_empty() {
-                Matrix::default()
-            } else {
-                Matrix::from_rows(&rows)
-            }
-        })
+    /// Representative keys as an `(n_clusters × dim)` matrix, row `c`
+    /// for cluster `c` (`0 × 0` while empty) — the `Key_cluster`
+    /// operand of the `Q × Key_clusterᵀ` score computation.
+    pub fn representatives(&self) -> &Matrix {
+        &self.reps
     }
 
     /// Token counts per cluster, aligned with [`Self::representatives`].
-    pub fn token_counts(&self) -> Vec<usize> {
-        self.clusters.iter().map(Cluster::token_count).collect()
+    pub fn token_counts(&self) -> &[usize] {
+        &self.counts
     }
 
-    /// Maps selected cluster indices back to the union of their member
-    /// token indices, ascending and de-duplicated.
+    /// The member tokens below `end` of the given clusters, ascending
+    /// and de-duplicated: the history a cluster selection fetches.
+    ///
+    /// `marks` is scratch the caller keeps between calls, so no call
+    /// allocates one; it must hold only `false` on entry, and does on
+    /// return.
     ///
     /// # Panics
     ///
     /// Panics if a cluster index is out of range.
-    pub fn tokens_of_clusters(&self, cluster_indices: &[usize]) -> Vec<usize> {
-        let mut member = vec![false; self.index_end];
-        for &c in cluster_indices {
+    pub fn tokens_below(
+        &self,
+        clusters: impl IntoIterator<Item = usize>,
+        end: usize,
+        marks: &mut Vec<bool>,
+    ) -> Vec<usize> {
+        if marks.len() < end {
+            marks.resize(end, false);
+        }
+        let mut n = 0;
+        for c in clusters {
             for &t in &self.clusters[c].token_indices {
-                member[t] = true;
+                if t < end && !marks[t] {
+                    marks[t] = true;
+                    n += 1;
+                }
             }
         }
-        (0..self.index_end).filter(|&t| member[t]).collect()
+        let mut tokens = Vec::with_capacity(n);
+        for (t, mark) in marks[..end].iter_mut().enumerate() {
+            if *mark {
+                *mark = false;
+                tokens.push(t);
+            }
+        }
+        tokens
     }
 
     /// Verifies the partition invariants (each inserted token index in
@@ -217,6 +232,22 @@ mod tests {
 
     fn hp(dim: usize) -> HyperplaneSet {
         HyperplaneSet::new(dim, 32, 99)
+    }
+
+    /// Every member of the picked clusters: [`HcTable::tokens_below`]
+    /// with the cut past the largest token, checking that it hands its
+    /// scratch back cleared.
+    fn tokens_of_clusters(t: &HcTable, picks: &[usize]) -> Vec<usize> {
+        let end = t
+            .clusters()
+            .iter()
+            .flat_map(|c| c.token_indices().iter().map(|&i| i + 1))
+            .max()
+            .unwrap_or(0);
+        let mut marks = Vec::new();
+        let tokens = t.tokens_below(picks.iter().copied(), end, &mut marks);
+        assert!(marks.iter().all(|&m| !m), "marks left set");
+        tokens
     }
 
     #[test]
@@ -252,7 +283,7 @@ mod tests {
         t.insert_token(&[2.0; 8], 0, &hp);
         t.insert_token(&[4.0; 8], 1, &hp);
         assert_eq!(t.n_clusters(), 1);
-        for &v in t.clusters()[0].rep_key() {
+        for &v in t.representatives().row(0) {
             assert!((v - 3.0).abs() < 1e-6);
         }
     }
@@ -263,7 +294,7 @@ mod tests {
         let mut t = HcTable::new(33);
         t.insert_token(&[1.0; 8], 5, &hp);
         t.insert_token(&[1.0; 8], 2, &hp);
-        let toks = t.tokens_of_clusters(&[0]);
+        let toks = tokens_of_clusters(&t, &[0]);
         assert_eq!(toks, vec![2, 5]);
     }
 
@@ -290,7 +321,7 @@ mod tests {
                     .collect();
                 want.sort_unstable();
                 want.dedup();
-                assert_eq!(t.tokens_of_clusters(pick), want, "threshold {threshold}");
+                assert_eq!(tokens_of_clusters(&t, pick), want, "threshold {threshold}");
             }
         }
     }
@@ -318,7 +349,7 @@ mod tests {
         let reps = t.representatives().clone();
         assert_eq!(reps.rows(), 2);
         assert_eq!(reps.row(1), &[2.0; 8]);
-        assert_eq!(t.token_counts(), vec![1, 1]);
+        assert_eq!(t.token_counts(), &[1, 1]);
     }
 
     #[test]

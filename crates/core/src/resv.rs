@@ -62,8 +62,13 @@ impl Default for ResvConfig {
     }
 }
 
-/// Aggregate work counters of a ReSV run, consumed by the hardware
-/// cost model (`vrex-hwsim` DRE units).
+/// Aggregate work counters of a ReSV run: the DRE work (cluster
+/// scores, early-exit sorting, clustering) the software path did.
+///
+/// No cost model reads them: `vrex-hwsim` and `vrex-system` price the
+/// DRE units in closed form from workload shapes and constants. Their
+/// readers are this crate's tests and the repo benchmark's trace
+/// (`core.resv.visited_fraction`).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ResvWorkStats {
     /// Cluster scores computed (`Q × Key_clusterᵀ` elements).
@@ -120,6 +125,12 @@ pub struct ResvPolicy {
     /// `tables[layer][kv_head]`.
     tables: Vec<Vec<HcTable>>,
     work: ResvWorkStats,
+    /// Scratch reused by every selection: the clusters any query row
+    /// chose, one row's transformed scores, and the history tokens'
+    /// marks (see [`HcTable::tokens_below`]).
+    chosen: Vec<bool>,
+    transformed: Vec<f32>,
+    marks: Vec<bool>,
 }
 
 impl ResvPolicy {
@@ -144,6 +155,9 @@ impl ResvPolicy {
             hyperplanes,
             tables,
             work: ResvWorkStats::default(),
+            chosen: Vec::new(),
+            transformed: Vec::new(),
+            marks: Vec::new(),
         }
     }
 
@@ -213,48 +227,55 @@ impl ResvPolicy {
         }
     }
 
-    fn select_clusters(&mut self, req: &SelectionRequest<'_>, old_len: usize) -> Vec<usize> {
-        let table = &mut self.tables[req.layer][req.kv_head];
+    /// The history tokens of the clusters any query row selects.
+    fn select_history(&mut self, req: &SelectionRequest<'_>, old_len: usize) -> Vec<usize> {
+        let table = &self.tables[req.layer][req.kv_head];
         if table.n_clusters() == 0 {
             return Vec::new();
         }
         let counts = table.token_counts();
-        let reps = table.representatives();
         let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let mut scores: Matrix = req.queries.matmul_transposed(reps);
+        let mut scores: Matrix = req.queries.matmul_transposed(table.representatives());
         scores.scale_in_place(scale);
         self.work.cluster_scores_computed += (scores.rows() * scores.cols()) as u64;
         self.work.token_scores_equivalent += (scores.rows() * old_len) as u64;
 
         // Union of the rows' selections, marked per cluster.
-        let mut chosen = vec![false; scores.cols()];
-        let mut transformed = vec![0.0f32; scores.cols()];
+        self.chosen.clear();
+        self.chosen.resize(scores.cols(), false);
         for r in 0..scores.rows() {
             let row = scores.row(r);
             // Monotone non-negative transform: exponentiated max-shifted
             // score (the softmax numerator) — concentrated rows stay
             // concentrated, and WiCSum's weighted mass is well-defined.
             let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            for (t, &s) in transformed.iter_mut().zip(row) {
-                *t = (s - max).exp();
-            }
+            self.transformed.clear();
+            self.transformed
+                .extend(row.iter().map(|&s| (s - max).exp()));
             let selected = if self.cfg.use_early_exit {
                 let (sel, st) = early_exit_select_row(
-                    &transformed,
-                    &counts,
+                    &self.transformed,
+                    counts,
                     self.cfg.th_wics,
                     self.cfg.n_buckets,
                 );
                 self.work.early_exit.add(st);
                 sel
             } else {
-                wicsum_select_row(&transformed, &counts, self.cfg.th_wics)
+                wicsum_select_row(&self.transformed, counts, self.cfg.th_wics)
             };
             for c in selected {
-                chosen[c] = true;
+                self.chosen[c] = true;
             }
         }
-        (0..chosen.len()).filter(|&c| chosen[c]).collect()
+        let chosen = &self.chosen;
+        // The current block's tokens are always attended; the selection
+        // covers history only.
+        table.tokens_below(
+            (0..chosen.len()).filter(|&c| chosen[c]),
+            old_len,
+            &mut self.marks,
+        )
     }
 }
 
@@ -282,12 +303,7 @@ impl RetrievalPolicy for ResvPolicy {
         if old_len == 0 {
             return Selection::All;
         }
-        let clusters = self.select_clusters(req, old_len);
-        let tokens = self.tables[req.layer][req.kv_head].tokens_of_clusters(&clusters);
-        // The current block's tokens are always attended; the selection
-        // covers history only.
-        let history: Vec<usize> = tokens.into_iter().filter(|&t| t < old_len).collect();
-        Selection::Indices(history)
+        Selection::Indices(self.select_history(req, old_len))
     }
 }
 

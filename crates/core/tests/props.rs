@@ -27,8 +27,9 @@ proptest! {
         );
     }
 
-    /// Every inserted token lands in exactly one cluster; token counts
-    /// agree; representatives have the right dimension.
+    /// Every inserted token lands in exactly one cluster; the counts and
+    /// representatives kept current at insert equal a rebuild from the
+    /// clusters, bit for bit.
     #[test]
     fn hc_table_is_a_partition(
         n_tokens in 1usize..80,
@@ -45,6 +46,26 @@ proptest! {
         prop_assert!(table.n_clusters() <= n_tokens);
         let counts = table.token_counts();
         prop_assert_eq!(counts.iter().sum::<usize>(), n_tokens);
+        // Rebuild: each count from the members, each representative by
+        // replaying the running mean over the members' keys in arrival
+        // order.
+        let reps = table.representatives();
+        prop_assert_eq!((reps.rows(), reps.cols()), (table.n_clusters(), 16));
+        prop_assert_eq!(counts.len(), table.n_clusters());
+        for (c, cluster) in table.clusters().iter().enumerate() {
+            prop_assert_eq!(counts[c], cluster.token_count());
+            let members = cluster.token_indices();
+            let mut mean = keys.row(members[0] - 100).to_vec();
+            for (n, &t) in members.iter().enumerate().skip(1) {
+                let n = n as f32;
+                for (m, &k) in mean.iter_mut().zip(keys.row(t - 100)) {
+                    *m = (*m * n + k) / (n + 1.0);
+                }
+            }
+            let want: Vec<u32> = mean.iter().map(|v| v.to_bits()).collect();
+            let got: Vec<u32> = reps.row(c).iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(got, want, "cluster {}", c);
+        }
         // Threshold 0 ⇒ no clustering at all.
         if threshold == 0 {
             prop_assert_eq!(table.n_clusters(), n_tokens);
@@ -55,20 +76,27 @@ proptest! {
         }
     }
 
-    /// tokens_of_clusters returns exactly the members, sorted, deduped.
+    /// `tokens_below` returns exactly the members under the cut,
+    /// sorted and de-duplicated, and hands its scratch back cleared.
     #[test]
     fn cluster_token_lookup_is_exact(
         n_tokens in 1usize..40,
+        cut in 0usize..40,
         seed in 0u64..500,
     ) {
         let hp = HyperplaneSet::new(8, 16, seed);
         let keys = gaussian_matrix(&mut seeded_rng(seed), n_tokens, 8, 1.0);
         let mut table = HcTable::new(5);
         table.insert_block(&keys, 0, &hp);
-        let all: Vec<usize> = (0..table.n_clusters()).collect();
-        let tokens = table.tokens_of_clusters(&all);
-        let expect: Vec<usize> = (0..n_tokens).collect();
-        prop_assert_eq!(tokens, expect);
+        let n = table.n_clusters();
+        let mut marks = Vec::new();
+        let tokens = table.tokens_below(0..n, n_tokens, &mut marks);
+        prop_assert_eq!(tokens, (0..n_tokens).collect::<Vec<_>>());
+        // Repeated clusters, and a cut inside the table.
+        let cut = cut.min(n_tokens);
+        let tokens = table.tokens_below((0..n).chain(0..n), cut, &mut marks);
+        prop_assert_eq!(tokens, (0..cut).collect::<Vec<_>>());
+        prop_assert!(marks.iter().all(|&m| !m));
     }
 
     /// WiCSum always captures strictly more than the threshold fraction

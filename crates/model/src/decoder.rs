@@ -96,9 +96,11 @@ impl DecoderLayer {
         // Per-query-head attention with policy-selected history.
         let group = cfg.gqa_group();
         let mut attn_concat = Matrix::zeros(n, cfg.n_heads * hd);
-        // Per-kv-head union of selected history indices (fetch volume).
-        let mut kv_union: Vec<std::collections::BTreeSet<usize>> =
-            vec![std::collections::BTreeSet::new(); cfg.n_kv_heads];
+        // Per-kv-head union of selected history indices (fetch volume):
+        // `marked[t] == kvh + 1` once a query head of KV head `kvh`
+        // selected token `t`, so one vector serves every KV head.
+        let mut marked = vec![0usize; start_pos];
+        let mut union_len = vec![0usize; cfg.n_kv_heads];
         let mut kv_union_all = vec![false; cfg.n_kv_heads];
 
         for qh in 0..cfg.n_heads {
@@ -120,12 +122,21 @@ impl DecoderLayer {
                 let r = selection_recall(&q_h, keys, start_pos, &selection);
                 stats.record_recall(r);
             }
-            match selection.materialized() {
-                None => kv_union_all[kvh] = true,
-                Some(idx) => kv_union[kvh].extend(idx.iter().copied()),
-            }
+            // Attention rejects an index outside the history before the
+            // union below reads `marked` at it.
             let out =
                 attention_with_selection(&q_h, keys, cache.values(kvh), start_pos, &selection);
+            match selection.materialized() {
+                None => kv_union_all[kvh] = true,
+                Some(idx) => {
+                    for &t in idx {
+                        if marked[t] != kvh + 1 {
+                            marked[t] = kvh + 1;
+                            union_len[kvh] += 1;
+                        }
+                    }
+                }
+            }
             for r in 0..n {
                 attn_concat.row_mut(r)[qh * hd..(qh + 1) * hd].copy_from_slice(out.row(r));
             }
@@ -135,7 +146,7 @@ impl DecoderLayer {
             let distinct = if kv_union_all[kvh] {
                 start_pos
             } else {
-                kv_union[kvh].len()
+                union_len[kvh]
             };
             stats.record_fetch(layer_idx, kvh, distinct, start_pos, cfg);
         }

@@ -54,15 +54,16 @@ proptest! {
     }
 
     /// Every element is the in-order dot product `0.0 + a₀b₀ + …`, bit
-    /// for bit, on right operands that straddle the 64-row panel.
+    /// for bit, on right operands that straddle the 32-row panel and its
+    /// multiples.
     #[test]
     fn matmul_transposed_is_consistent(
         n in 0usize..5,
         m in 0usize..12,
-        k_pick in 0usize..6,
+        k_pick in 0usize..9,
         seed in 0u64..1000,
     ) {
-        let k = [0, 1, 63, 64, 65, 130][k_pick];
+        let k = [0, 1, 31, 32, 33, 63, 64, 65, 130][k_pick];
         let a = with_zeros(matrix(n, m, seed), seed);
         let b = with_zeros(matrix(k, m, seed + 13), seed + 1);
         let got = a.matmul_transposed(&b);
@@ -74,6 +75,40 @@ proptest! {
                     acc += x * y;
                 }
                 prop_assert_eq!(got[(i, j)].to_bits(), acc.to_bits(), "element ({}, {})", i, j);
+            }
+        }
+    }
+
+    /// Every element of `matmul` and `matmul_rows` is the in-order sum
+    /// `0.0 + a₀b₀ + a₁b₁ + …` that skips each `a_k == 0.0` (either
+    /// sign), bit for bit, on widths that straddle the 32-column blocks.
+    #[test]
+    fn matmul_is_the_in_order_sum_skipping_zeros(
+        n in 0usize..10,
+        m in 0usize..12,
+        w_pick in 0usize..10,
+        seed in 0u64..1000,
+    ) {
+        let w = [0, 1, 15, 16, 17, 31, 32, 33, 64, 65][w_pick];
+        let a = with_zeros(matrix(n, m, seed), seed);
+        let b = with_zeros(matrix(m, w, seed + 21), seed + 2);
+        // Rows of `b` read out of order and with repeats.
+        let rows: Vec<usize> = (0..m).map(|k| (k * 5 + seed as usize) % m).collect();
+        for (got, row_of) in [
+            (a.matmul(&b), (0..m).collect::<Vec<_>>()),
+            (a.matmul_rows(&b, &rows), rows.clone()),
+        ] {
+            prop_assert_eq!((got.rows(), got.cols()), (n, w));
+            for i in 0..n {
+                for j in 0..w {
+                    let mut acc = 0.0f32;
+                    for (&x, &r) in a.row(i).iter().zip(&row_of) {
+                        if x != 0.0 {
+                            acc += x * b[(r, j)];
+                        }
+                    }
+                    prop_assert_eq!(got[(i, j)].to_bits(), acc.to_bits(), "element ({}, {})", i, j);
+                }
             }
         }
     }
