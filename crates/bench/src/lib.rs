@@ -19,11 +19,12 @@
 //! done
 //! ```
 //!
-//! Beyond the figures, `realtime_session` shows single-stream queueing
-//! transients, `serve_capacity` / `tier_capacity` / `device_scaling`
-//! sweep multi-session serving capacity (reject-only, tiered, and
-//! across a device pool; `--smoke` for the CI-sized, hard-asserted
-//! runs), and `scaling` / `sweep_resv_params` explore parameter spaces.
+//! Beyond the figures, `realtime_session` shows the queueing transient
+//! of a one-session serve, `serve_capacity` / `tier_capacity` /
+//! `device_scaling` sweep multi-session serving capacity (reject-only,
+//! tiered, and across a device pool; `--smoke` for the CI-sized,
+//! hard-asserted runs), and `scaling` / `sweep_resv_params` explore
+//! parameter spaces.
 
 pub use vrex_core::par;
 

@@ -67,18 +67,6 @@ pub fn wicsum_select_row(scores: &[f32], counts: &[usize], th_ratio: f32) -> Vec
     selected
 }
 
-/// Applies [`wicsum_select_row`] to every row of a score matrix and
-/// returns the per-row selections.
-pub fn wicsum_select_rows(
-    scores: &vrex_tensor::Matrix,
-    counts: &[usize],
-    th_ratio: f32,
-) -> Vec<Vec<usize>> {
-    (0..scores.rows())
-        .map(|r| wicsum_select_row(scores.row(r), counts, th_ratio))
-        .collect()
-}
-
 /// The weighted mass fraction actually captured by a selection —
 /// used in tests to verify the threshold contract.
 pub fn captured_fraction(scores: &[f32], counts: &[usize], selected: &[usize]) -> f64 {
@@ -199,14 +187,5 @@ mod tests {
             assert!(len >= last, "ratio {ratio}: prefix shrank {last} -> {len}");
             last = len;
         }
-    }
-
-    #[test]
-    fn rows_helper_matches_row_calls() {
-        let m = vrex_tensor::Matrix::from_rows(&[&[1.0, 5.0, 2.0], &[4.0, 0.5, 4.0]]);
-        let counts = [1, 2, 1];
-        let all = wicsum_select_rows(&m, &counts, 0.5);
-        assert_eq!(all[0], wicsum_select_row(m.row(0), &counts, 0.5));
-        assert_eq!(all[1], wicsum_select_row(m.row(1), &counts, 0.5));
     }
 }

@@ -62,19 +62,14 @@ pub const WORKSPACE: &[CrateCfg] = &[
     CrateCfg {
         rel: "crates/system",
         rules: ALL_RULES,
-        // These four modules turn integer-ps measurements into
-        // seconds/fractions for reports (p50/p99 tables, FPS, speedup
+        // These two modules turn integer-ps measurements into
+        // seconds/fractions for reports (lag means, FPS, speedup
         // ratios). Nothing downstream feeds their floats back into
         // simulation time. `placement.rs` is deliberately *not* here:
         // the multi-device placement layer stays integer-ps end to end
         // so all five rules apply to it at full strength (pinned by
         // the `placement_module_is_covered_by_every_rule` test).
-        float_time_boundary: &[
-            "crates/system/src/ablation.rs",
-            "crates/system/src/e2e.rs",
-            "crates/system/src/queueing.rs",
-            "crates/system/src/realtime.rs",
-        ],
+        float_time_boundary: &["crates/system/src/e2e.rs", "crates/system/src/queueing.rs"],
     },
     CrateCfg {
         rel: "crates/workload",

@@ -1,10 +1,11 @@
 //! The end-to-end contracts: the shipped tree lints clean (every
-//! finding waived with a reason), an injected violation turns the run
-//! red, and the multi-device placement module is genuinely covered by
-//! the full rule set.
+//! finding waived with a reason), every `float-time` carve-out masks a
+//! finding, an injected violation turns the run red, and the
+//! multi-device placement module is genuinely covered by the full rule
+//! set.
 
 use std::path::Path;
-use vrex_lint::config::{ALL_RULES, WORKSPACE};
+use vrex_lint::config::{CrateCfg, ALL_RULES, WORKSPACE};
 use vrex_lint::rules::REGISTRY;
 use vrex_lint::run_workspace;
 use vrex_lint::runner::lint_source;
@@ -43,6 +44,33 @@ fn shipped_workspace_is_clean() {
             );
         }
     }
+}
+
+/// The carve-out version of "every waiver must be load-bearing": each
+/// file a crate exempts from `float-time` exists and, linted without
+/// the exemption, has at least one `float-time` finding for it to mask.
+#[test]
+fn every_float_time_boundary_masks_a_finding() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut idle = Vec::new();
+    for cfg in WORKSPACE {
+        let unexempt = CrateCfg {
+            float_time_boundary: &[],
+            ..*cfg
+        };
+        for &rel in cfg.float_time_boundary {
+            let src = std::fs::read_to_string(root.join(rel))
+                .unwrap_or_else(|e| panic!("boundary {rel} unreadable: {e}"));
+            let out = lint_source(&src, rel, &unexempt);
+            if !out.findings.iter().any(|f| f.rule == "float-time") {
+                idle.push(rel);
+            }
+        }
+    }
+    assert!(
+        idle.is_empty(),
+        "float-time boundaries that mask nothing: {idle:?}"
+    );
 }
 
 /// The placement layer routes sessions and prices fabric migrations —

@@ -239,12 +239,6 @@ impl StreamingVideoLlm {
         self.pos
     }
 
-    /// Clears the cache and position, keeping the weights.
-    pub fn reset(&mut self) {
-        self.cache = KvCache::new(&self.cfg);
-        self.pos = 0;
-    }
-
     /// Runs one block of embedded tokens through the full stack,
     /// appending to the cache. Returns the final hidden states.
     pub fn forward_block(
@@ -406,18 +400,6 @@ mod tests {
             llm.generate(&h, 5, &mut policy, &mut stats)
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let (mut llm, mut video) = make_llm();
-        let mut policy = SelectAll::new();
-        let cfg = llm.config().clone();
-        let mut stats = RunStats::new(&cfg, false);
-        llm.process_frame(&video.next_frame(), &mut policy, &mut stats);
-        llm.reset();
-        assert_eq!(llm.cache().len(), 0);
-        assert_eq!(llm.position(), 0);
     }
 
     #[test]

@@ -37,13 +37,6 @@ pub fn block_importance(queries: &Matrix, keys: &Matrix, history_len: usize) -> 
     importance
 }
 
-/// FLOPs charged for computing [`block_importance`] exactly
-/// (`2 · rows · history · dim`) — the "KV prediction" cost the paper's
-/// Fig. 4c attributes 40% of prefill latency to.
-pub fn importance_flops(query_rows: usize, history_len: usize, dim: usize) -> u64 {
-    2 * query_rows as u64 * history_len as u64 * dim as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -65,10 +58,5 @@ mod tests {
         let q = gaussian_matrix(&mut rng, 2, 4, 1.0);
         let k = gaussian_matrix(&mut rng, 2, 4, 1.0);
         assert!(block_importance(&q, &k, 0).is_empty());
-    }
-
-    #[test]
-    fn flops_formula() {
-        assert_eq!(importance_flops(10, 1000, 128), 2 * 10 * 1000 * 128);
     }
 }

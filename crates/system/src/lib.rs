@@ -44,7 +44,6 @@ pub mod placement;
 pub mod platform;
 pub mod pricing;
 pub mod queueing;
-pub mod realtime;
 pub mod serve;
 
 pub use e2e::{EnergyBreakdown, StepResult, SystemModel};

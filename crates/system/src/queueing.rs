@@ -1,13 +1,11 @@
-//! Shared queueing and lag accounting.
+//! Frame-lag accounting for the serve, and the fleet percentiles.
 //!
-//! Both latency views of the paper's "real-time processing" story use
-//! the same bookkeeping: work items (frames, question prefills, output
-//! tokens) arrive on a wall clock, get serviced some time later, and
-//! the user-visible cost is the lag between the two. The single-session
-//! transient simulation ([`crate::realtime`]) and the multi-session
-//! serving scheduler ([`mod@crate::serve`]) both record into a
-//! [`QueueLedger`] so their queue-depth and lag semantics cannot drift
-//! apart.
+//! Each admitted stream records its frames into a `QueueLedger`:
+//! a frame arrives on the camera clock, completes when its batched
+//! step does, and the user-visible cost is the lag between the two.
+//! The serve's per-session queue depth, mean and worst lag and
+//! real-time verdict are read off that ledger. The percentile helpers
+//! below aggregate lag, TTFT and TPOT samples across a fleet.
 //!
 //! Every timestamp is an integer picosecond (`u64`, the same time base
 //! the hardware models in `vrex-hwsim` emit); the `*_s` accessors
@@ -22,18 +20,13 @@ use vrex_hwsim::{ps_to_seconds, PS_PER_SECOND};
 /// each arrival instant: the number of earlier items still in flight
 /// when a new item shows up (the "frames waiting" the user perceives).
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct QueueLedger {
+pub(crate) struct QueueLedger {
     arrivals_ps: Vec<u64>,
     completions_ps: Vec<u64>,
     max_queue_depth: usize,
 }
 
 impl QueueLedger {
-    /// Creates an empty ledger.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// An empty ledger with room for `items` records, for callers that
     /// know their item count up front (no regrowth while recording).
     pub fn with_capacity(items: usize) -> Self {
@@ -47,8 +40,8 @@ impl QueueLedger {
     /// Records one item's arrival and completion times (ps).
     ///
     /// Arrivals AND completions must be non-decreasing across calls
-    /// (FIFO service order — both recorders here satisfy it by
-    /// construction) and `completion_ps` must not precede
+    /// (FIFO service order — a stream's frames complete in arrival
+    /// order by construction) and `completion_ps` must not precede
     /// `arrival_ps`. Sorted completions let the queue-depth sample be
     /// a binary search instead of a scan.
     pub fn record(&mut self, arrival_ps: u64, completion_ps: u64) {
@@ -75,12 +68,6 @@ impl QueueLedger {
     /// Number of items recorded.
     pub fn offered(&self) -> usize {
         self.arrivals_ps.len()
-    }
-
-    /// Number of items completed at or before `deadline_ps` (a binary
-    /// search: completions are sorted by `record`'s contract).
-    pub fn completed_by(&self, deadline_ps: u64) -> usize {
-        self.completions_ps.partition_point(|&c| c <= deadline_ps)
     }
 
     /// Maximum queue depth observed (sampled at arrival instants).
@@ -118,38 +105,6 @@ impl QueueLedger {
     pub fn max_lag_s(&self) -> f64 {
         ps_to_seconds(self.max_lag_ps())
     }
-
-    /// Completion time of the last item in ps (0 for an empty ledger).
-    /// Completions are non-decreasing, so the last is the latest.
-    pub fn last_completion_ps(&self) -> u64 {
-        self.completions_ps.last().copied().unwrap_or(0)
-    }
-
-    /// Completion time of the last item in seconds (0 when empty).
-    pub fn last_completion_s(&self) -> f64 {
-        ps_to_seconds(self.last_completion_ps())
-    }
-}
-
-/// Drives a single-server FIFO queue and returns its ledger.
-///
-/// Item `i` arrives at `arrivals_ps[i]` (non-decreasing); `service(i)`
-/// is its service time in ps, evaluated in order at the moment the
-/// item starts (so service models that depend on state mutated by
-/// earlier items — e.g. a growing KV cache — price correctly).
-pub fn run_fifo(
-    arrivals_ps: impl IntoIterator<Item = u64>,
-    mut service: impl FnMut(usize) -> u64,
-) -> QueueLedger {
-    let mut ledger = QueueLedger::new();
-    let mut server_free_at = 0u64;
-    for (i, arrival) in arrivals_ps.into_iter().enumerate() {
-        let start = server_free_at.max(arrival);
-        let completion = start + service(i);
-        server_free_at = completion;
-        ledger.record(arrival, completion);
-    }
-    ledger
 }
 
 /// Nearest-rank percentile of an already ascending-sorted slice
@@ -380,7 +335,7 @@ mod tests {
 
     #[test]
     fn ledger_tracks_depth_at_arrival_instants() {
-        let mut l = QueueLedger::new();
+        let mut l = QueueLedger::default();
         // Three items, second and third arrive while the first is
         // still in flight.
         l.record(0, 3 * S);
@@ -388,17 +343,14 @@ mod tests {
         l.record(2 * S, 5 * S);
         assert_eq!(l.max_queue_depth(), 2);
         assert_eq!(l.offered(), 3);
-        assert_eq!(l.completed_by(4 * S), 2);
         assert_eq!(l.max_lag_ps(), 3 * S);
         assert!((l.mean_lag_s() - 3.0).abs() < 1e-12);
         assert!((l.max_lag_s() - 3.0).abs() < 1e-12);
-        assert_eq!(l.last_completion_ps(), 5 * S);
-        assert!((l.last_completion_s() - 5.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_ledger_is_all_zeroes() {
-        let l = QueueLedger::new();
+        let l = QueueLedger::default();
         assert_eq!(l.offered(), 0);
         assert_eq!(l.max_queue_depth(), 0);
         assert_eq!(l.mean_lag_s(), 0.0);
@@ -409,20 +361,30 @@ mod tests {
     #[test]
     fn fifo_with_idle_gaps_has_no_queueing() {
         // Service 0.1 s, arrivals 1 s apart: every item starts on
-        // arrival, lag == service time.
-        let l = run_fifo((0..5).map(|i| i * S), |_| S / 10);
+        // arrival and completes 0.1 s later, lag == service time.
+        let mut l = QueueLedger::default();
+        for i in 0..5 {
+            l.record(i * S, i * S + S / 10);
+        }
         assert_eq!(l.max_queue_depth(), 0);
+        assert!(l.lags_ps().all(|lag| lag == S / 10));
         assert!((l.mean_lag_s() - 0.1).abs() < 1e-12);
     }
 
     #[test]
     fn lags_are_exact_integers() {
-        // One-third-second service: floats could not represent this
-        // exactly, integer ps keeps every lag precise.
+        // One-third-second service, three items arriving together: a
+        // FIFO server completes them at 1/3, 2/3 and 3/3 of a second.
+        // Floats could not represent these exactly; integer ps keeps
+        // every lag precise.
         let service = S / 3;
-        let l = run_fifo([0, 0, 0], |_| service);
+        let mut l = QueueLedger::default();
+        for k in 1..=3 {
+            l.record(0, k * service);
+        }
         let lags: Vec<u64> = l.lags_ps().collect();
         assert_eq!(lags, vec![service, 2 * service, 3 * service]);
+        assert_eq!(l.max_queue_depth(), 2);
     }
 
     #[test]
@@ -474,24 +436,28 @@ mod tests {
     #[test]
     fn mean_lag_does_not_overflow_u64() {
         // Two lags of 2⁶³ ps sum to 2⁶⁴, one past `u64::MAX`.
-        let mut l = QueueLedger::new();
+        let mut l = QueueLedger::default();
         l.record(0, 1 << 63);
         l.record(0, 1 << 63);
         assert_eq!(l.mean_lag_s(), ps_to_seconds(1 << 63));
-        assert_eq!(l.completed_by(1 << 63), 2);
-        assert_eq!(l.completed_by((1 << 63) - 1), 0);
-        assert_eq!(l.last_completion_ps(), 1 << 63);
+        assert_eq!(l.max_lag_ps(), 1 << 63);
     }
 
     #[test]
     fn presized_ledger_records_like_a_grown_one() {
-        let l = run_fifo((0..7).map(|i| i * S / 3), |i| S / 5 + i as u64 * 17);
+        // Arrivals every 1/3 s, service 0.2 s + 17·i ps: each item
+        // completes before the next arrives.
+        let mut grown = QueueLedger::default();
         let mut sized = QueueLedger::with_capacity(7);
-        assert_eq!(sized, QueueLedger::new());
-        for (a, lag) in (0..7).map(|i| i * S / 3).zip(l.lags_ps()) {
-            sized.record(a, a + lag);
+        assert_eq!(sized, grown);
+        for i in 0..7 {
+            let arrival = i * S / 3;
+            let completion = arrival + S / 5 + i * 17;
+            grown.record(arrival, completion);
+            sized.record(arrival, completion);
         }
-        assert_eq!(sized, l);
+        assert_eq!(sized, grown);
+        assert_eq!(sized.max_queue_depth(), 0);
     }
 
     /// Selection at n ∈ {0, 1, 2}, and where both ranks coincide; the

@@ -1,11 +1,10 @@
 //! Multi-session serving: event-driven continuous batching + admission
 //! control on a resource timeline.
 //!
-//! The single-session view ([`crate::realtime`]) answers "does one
-//! stream stay real-time as its cache grows?". This module answers the
-//! fleet question behind the ROADMAP's north star: **how many
-//! concurrent streaming sessions does a platform sustain in real
-//! time?** It drives the same analytic step model
+//! This module answers both real-time questions: "does one stream stay
+//! real-time as its cache grows?" (a one-session fleet) and the fleet
+//! question behind the ROADMAP's north star: **how many concurrent
+//! streaming sessions does a platform sustain in real time?** It drives the same analytic step model
 //! ([`SystemModel::frame_step`] / [`SystemModel::question_step`] /
 //! [`SystemModel::decode_step`]) — memoized through a
 //! [`StepPriceCache`] so repeated batch shapes are priced once — with
@@ -76,10 +75,11 @@
 //!    at the batch's worst-case cache length. Per-session work stays
 //!    FIFO — a question cannot overtake the frames before it.
 //! 3. **Accounting.** Every frame's arrival→completion pair lands in
-//!    the same [`crate::queueing::QueueLedger`] the single-session simulation uses, so
-//!    lag semantics are shared, plus TTFT (question asked → first
-//!    answer token) and TPOT (between answer tokens) samples, plus the
-//!    per-session and fleet tiering counters ([`TierReport`]).
+//!    its session's frame ledger (`QueueLedger`, [`crate::queueing`]),
+//!    which yields queue depth, lag and the real-time verdict, plus
+//!    TTFT (question asked → first answer token) and TPOT (between
+//!    answer tokens) samples, plus the per-session and fleet tiering
+//!    counters ([`TierReport`]).
 //!
 //! ## Execution models: serialized vs. resource timeline
 //!

@@ -42,8 +42,8 @@ pub struct SessionServeReport {
     pub mean_frame_lag_s: f64,
     /// Worst frame lag, seconds.
     pub max_frame_lag_s: f64,
-    /// Real-time verdict: worst frame lag within `2 / fps` (the same
-    /// bar as the single-session simulation), compared in integer ps.
+    /// Real-time verdict: worst frame lag within `2 / fps`, compared in
+    /// integer ps.
     pub real_time: bool,
     /// Per-frame lag samples (completion − arrival), in arrival order;
     /// the fleet percentiles aggregate these across sessions.
@@ -241,16 +241,6 @@ pub struct TierReport {
 }
 
 impl ServeReport {
-    /// Fraction of admitted sessions that stayed real-time (0 when
-    /// nothing was admitted).
-    pub fn real_time_fraction(&self) -> f64 {
-        if self.admitted == 0 {
-            0.0
-        } else {
-            self.real_time_sessions as f64 / self.admitted as f64
-        }
-    }
-
     /// Whether the platform sustained the *whole* offered fleet in real
     /// time: everyone admitted immediately, nobody rejected, every
     /// session real-time.

@@ -4,6 +4,7 @@ use super::*;
 use crate::memory::PrefetchMode;
 use crate::method::Method;
 use crate::platform::PlatformSpec;
+use crate::queueing::QueueLedger;
 use vrex_hwsim::engine::Engine;
 use vrex_hwsim::tier::MemTier;
 use vrex_workload::traffic::TrafficConfig;
@@ -11,6 +12,55 @@ use vrex_workload::SessionEvent;
 
 fn llama() -> ModelConfig {
     ModelConfig::llama3_8b()
+}
+
+/// One session of `frames` camera frames arriving at 0, served alone
+/// at `fps` from `start` cached tokens.
+fn serve_one_stream(
+    sys: &SystemModel,
+    start: usize,
+    fps: f64,
+    frames: usize,
+) -> SessionServeReport {
+    let plan = [SessionPlan {
+        id: 0,
+        arrival_ps: 0,
+        events: vec![SessionEvent::Frame; frames],
+    }];
+    let cfg = ServeConfig {
+        fps,
+        ..ServeConfig::real_time(start)
+    };
+    let mut r = serve(sys, &llama(), &plan, &cfg);
+    assert_eq!(r.admitted, 1);
+    r.sessions.remove(0)
+}
+
+/// Frames whose completion (arrival `i · interval_ps` plus the
+/// reported lag, back in ps) falls at or before `end_ps`.
+fn processed_by(s: &SessionServeReport, interval_ps: u64, end_ps: u64) -> usize {
+    (0u64..)
+        .zip(&s.frame_lags_s)
+        .filter(|&(i, &lag)| i * interval_ps + seconds_to_ps(lag) <= end_ps)
+        .count()
+}
+
+/// The single-server FIFO one uncontended session reduces to: item
+/// `i` arrives at `arrivals_ps[i]`, starts once it has arrived and the
+/// server is free, and `service(i)` prices it at that moment (so a
+/// service model over a growing cache prices correctly).
+fn fifo_reference(
+    arrivals_ps: impl IntoIterator<Item = u64>,
+    mut service: impl FnMut(usize) -> u64,
+) -> QueueLedger {
+    let mut ledger = QueueLedger::default();
+    let mut server_free_at = 0u64;
+    for (i, arrival) in arrivals_ps.into_iter().enumerate() {
+        let completion = server_free_at.max(arrival) + service(i);
+        server_free_at = completion;
+        ledger.record(arrival, completion);
+    }
+    ledger
 }
 
 fn fleet(sessions: usize, turns: usize, spread: f64, seed: u64) -> Vec<SessionPlan> {
@@ -150,9 +200,8 @@ fn shared_price_cache_reproduces_uncached_serving() {
 
 #[test]
 fn single_session_fleet_matches_single_session_bar() {
-    // One admitted stream with no contention must meet the same
-    // real-time verdict the dedicated single-session simulation
-    // reaches at the same cache length.
+    // One admitted stream with no contention stays real-time on V-Rex8
+    // at a short cache.
     let sys = SystemModel::new(PlatformSpec::vrex8(), Method::ReSV);
     let r = serve(
         &sys,
@@ -162,6 +211,181 @@ fn single_session_fleet_matches_single_session_bar() {
     );
     assert_eq!(r.admitted, 1);
     assert!(r.real_time_sessions == 1, "uncontended V-Rex8: {r:?}");
+}
+
+#[test]
+fn vrex8_keeps_up_at_2fps_short_cache() {
+    // 30 s of bare 2 FPS camera frames from a 1K cache: real-time, and
+    // never queued more than one deep.
+    let sys = SystemModel::new(PlatformSpec::vrex8(), Method::ReSV);
+    let s = serve_one_stream(&sys, 1_000, 2.0, 60);
+    assert!(s.real_time, "V-Rex8 should sustain 2 FPS: {s:?}");
+    assert_eq!(s.frames_offered, 60);
+    assert!(s.max_queue_depth <= 1);
+}
+
+#[test]
+fn cache_grows_by_tokens_per_frame() {
+    let sys = SystemModel::new(PlatformSpec::vrex8(), Method::ReSV);
+    let model = llama();
+    let s = serve_one_stream(&sys, 500, 2.0, 10);
+    assert_eq!(
+        s.final_cache_tokens,
+        500 + s.frames_offered * model.tokens_per_frame
+    );
+}
+
+#[test]
+fn one_session_serve_reports_ledger_semantics_exactly() {
+    // Differential pin on one overloaded cell: the serve agrees with
+    // the FIFO reference driven by the same frame-step prices.
+    let sys = SystemModel::new(PlatformSpec::agx_orin(), Method::FlexGen);
+    let model = llama();
+    let s = serve_one_stream(&sys, 10_000, 2.0, 20);
+
+    let mut cache = 10_000usize;
+    let half_s = vrex_hwsim::PS_PER_SECOND / 2;
+    let ledger = fifo_reference((0..s.frames_offered as u64).map(|i| i * half_s), |_| {
+        let t = sys.frame_step(&model, cache, 1).latency_ps;
+        cache += model.tokens_per_frame;
+        t
+    });
+    let fifo_processed = (0u64..)
+        .zip(ledger.lags_ps())
+        .filter(|&(i, lag)| i * half_s + lag <= 20 * half_s)
+        .count();
+    assert_eq!(processed_by(&s, half_s, 20 * half_s), fifo_processed);
+    assert_eq!(s.max_queue_depth, ledger.max_queue_depth());
+    assert_eq!(s.mean_frame_lag_s, ledger.mean_lag_s());
+    assert_eq!(s.max_frame_lag_s, ledger.max_lag_s());
+}
+
+/// For one session alone on the box, the serve is a single-server FIFO
+/// over the frame-step prices at a growing cache, bit for bit: queue
+/// depth, final cache (grown by `tokens_per_frame` per frame), every
+/// frame's lag and so mean and max, the real-time bar, and the frames
+/// processed within the camera's run (through the ps → s → ps round
+/// trip of the reported lags).
+#[test]
+fn one_uncontended_session_is_a_fifo_over_frame_step_prices() {
+    let model = llama();
+    let systems = [
+        (PlatformSpec::agx_orin(), Method::FlexGen),
+        (PlatformSpec::agx_orin(), Method::ReKV),
+        (PlatformSpec::agx_orin(), Method::InfiniGenP),
+        (PlatformSpec::vrex8(), Method::ReSV),
+        (PlatformSpec::vrex48(), Method::ReSV),
+    ]
+    .map(|(platform, method)| SystemModel::new(platform, method));
+    for sys in &systems {
+        for start in [0usize, 1_000, 5_000, 10_000, 20_000, 30_000, 40_000] {
+            for (fps, seconds) in [
+                (2.0, 60.0),
+                (1.0, 30.0),
+                (4.0, 10.0),
+                (2.0, 5.0),
+                (3.0, 7.0),
+            ] {
+                let frames = (fps * seconds) as usize;
+                let interval_ps = seconds_to_ps(1.0 / fps);
+                let mut cache = start;
+                let fifo = fifo_reference((0..frames as u64).map(|i| i * interval_ps), |_| {
+                    let service = sys.frame_step(&model, cache, 1).latency_ps;
+                    cache += model.tokens_per_frame;
+                    service
+                });
+                let end_ps = seconds_to_ps(seconds);
+                let fifo_processed = (0u64..)
+                    .zip(fifo.lags_ps())
+                    .filter(|&(i, lag)| i * interval_ps + lag <= end_ps)
+                    .count();
+
+                let s = serve_one_stream(sys, start, fps, frames);
+                let cell = format!("{} @{start} {fps} FPS {seconds} s", sys.label());
+                assert_eq!(s.frames_offered, frames, "{cell}");
+                assert_eq!(s.max_queue_depth, fifo.max_queue_depth(), "{cell}");
+                assert_eq!(s.final_cache_tokens, cache, "{cell}");
+                assert_eq!(cache, start + frames * model.tokens_per_frame, "{cell}");
+                assert_eq!(
+                    s.mean_frame_lag_s.to_bits(),
+                    fifo.mean_lag_s().to_bits(),
+                    "{cell}"
+                );
+                assert_eq!(
+                    s.max_frame_lag_s.to_bits(),
+                    fifo.max_lag_s().to_bits(),
+                    "{cell}"
+                );
+                assert!(
+                    s.frame_lags_s
+                        .iter()
+                        .map(|l| l.to_bits())
+                        .eq(fifo.lags().map(f64::to_bits)),
+                    "{cell}"
+                );
+                assert_eq!(s.real_time, fifo.max_lag_ps() <= 2 * interval_ps, "{cell}");
+                assert_eq!(
+                    processed_by(&s, interval_ps, end_ps),
+                    fifo_processed,
+                    "{cell}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn fifo_reference_matches_hand_computed_constant_service_case() {
+    // 2 FPS camera (arrivals at 0.0, 0.5, 1.0, 1.5 s), constant
+    // 0.8 s service, single FIFO server. By hand:
+    //   completions: 0.8, 1.6, 2.4, 3.2
+    //   lags:        0.8, 1.1, 1.4, 1.7  → mean 1.25, max 1.7
+    //   depth at arrivals: 0, 1, 1, 2    → max queue 2
+    //   completed by t=2.0: frames 0 and 1 → 2
+    let s = vrex_hwsim::PS_PER_SECOND;
+    let ledger = fifo_reference((0..4).map(|i| i * s / 2), |_| 8 * s / 10);
+    assert_eq!(ledger.offered(), 4);
+    assert_eq!(ledger.max_queue_depth(), 2);
+    let lags: Vec<u64> = ledger.lags_ps().collect();
+    assert_eq!(lags, [8, 11, 14, 17].map(|tenths| tenths * s / 10));
+    let completed = (0u64..)
+        .zip(&lags)
+        .filter(|&(i, &lag)| i * s / 2 + lag <= 2 * s)
+        .count();
+    assert_eq!(completed, 2);
+    assert!((ledger.mean_lag_s() - 1.25).abs() < 1e-12);
+    assert!((ledger.max_lag_s() - 1.7).abs() < 1e-12);
+}
+
+#[test]
+fn agx_flexgen_falls_behind_at_long_cache() {
+    let sys = SystemModel::new(PlatformSpec::agx_orin(), Method::FlexGen);
+    let s = serve_one_stream(&sys, 40_000, 2.0, 60);
+    assert!(
+        !s.real_time,
+        "AGX+FlexGen cannot sustain 2 FPS at 40K: {s:?}"
+    );
+    assert!(s.max_queue_depth > 5, "queue should build: {s:?}");
+    assert!(s.max_frame_lag_s > s.mean_frame_lag_s);
+}
+
+#[test]
+fn lag_grows_monotonically_when_overloaded() {
+    // Overloaded server: later frames lag more than earlier ones, and
+    // not every frame of a 4 FPS, 10 s run completes within it.
+    let sys = SystemModel::new(PlatformSpec::agx_orin(), Method::FlexGen);
+    let s = serve_one_stream(&sys, 20_000, 4.0, 40);
+    assert!(s.frame_lags_s.windows(2).all(|w| w[0] <= w[1]), "{s:?}");
+    assert!(s.max_frame_lag_s >= s.mean_frame_lag_s);
+    let interval_ps = seconds_to_ps(1.0 / 4.0);
+    assert!(processed_by(&s, interval_ps, seconds_to_ps(10.0)) < s.frames_offered);
+}
+
+#[test]
+#[should_panic(expected = "fps must be positive")]
+fn rejects_zero_fps() {
+    let sys = SystemModel::new(PlatformSpec::vrex8(), Method::ReSV);
+    let _ = serve_one_stream(&sys, 0, 0.0, 1);
 }
 
 #[test]

@@ -24,7 +24,7 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use vrex_core::time::{ps_to_seconds, seconds_to_ps};
+use vrex_core::time::seconds_to_ps;
 use vrex_tensor::rng::seeded_rng;
 
 use crate::session::{SessionEvent, SessionGenerator};
@@ -280,12 +280,6 @@ pub struct SessionPlan {
 }
 
 impl SessionPlan {
-    /// Arrival time in seconds (display/report convenience; all
-    /// scheduling arithmetic stays on [`Self::arrival_ps`]).
-    pub fn arrival_s(&self) -> f64 {
-        ps_to_seconds(self.arrival_ps)
-    }
-
     /// Total video frames across the session.
     pub fn total_frames(&self) -> usize {
         self.events
@@ -325,7 +319,7 @@ impl SessionPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vrex_core::time::PS_PER_SECOND;
+    use vrex_core::time::{ps_to_seconds, PS_PER_SECOND};
 
     #[test]
     fn span_estimate_is_events_times_interval() {
@@ -376,16 +370,6 @@ mod tests {
             seed: 9,
         };
         assert!(cfg.generate().iter().all(|p| p.arrival_ps == 0));
-    }
-
-    #[test]
-    fn arrival_seconds_mirror_picoseconds() {
-        let plan = SessionPlan {
-            id: 0,
-            arrival_ps: PS_PER_SECOND / 4,
-            events: Vec::new(),
-        };
-        assert_eq!(plan.arrival_s(), 0.25);
     }
 
     #[test]
