@@ -10,94 +10,23 @@
 //! Usage: `serve_capacity [--smoke]` — `--smoke` shrinks the sweep for
 //! CI smoke runs.
 //!
-//! Each platform × cache-length unit runs on its own sweep worker
-//! ([`vrex_bench::par`]), sharing one [`StepPriceCache`] across its
-//! fleet sizes; tables print in grid order afterwards so stdout stays
-//! deterministic.
+//! The grid and its serves are [`vrex_system::capacity::ServeGrid`];
+//! this bin renders the rows in grid order.
 
-use vrex_bench::par::par_map;
 use vrex_bench::report::{banner, f, Table};
-use vrex_model::ModelConfig;
-use vrex_system::{
-    serve_with_cache, Method, PlatformSpec, ServeConfig, ServeReport, StepPriceCache, SystemModel,
-};
-use vrex_workload::traffic::TrafficConfig;
-
-struct SweepPoint {
-    sessions: usize,
-    report: ServeReport,
-}
-
-fn sweep(
-    sys: &SystemModel,
-    model: &ModelConfig,
-    cache: usize,
-    fleet_sizes: &[usize],
-    turns: usize,
-) -> Vec<SweepPoint> {
-    // One price cache across the fleet sizes: the growing fleets
-    // replay the same per-session cache trajectories.
-    let mut prices = StepPriceCache::new(sys, model);
-    fleet_sizes
-        .iter()
-        .map(|&sessions| {
-            let plans = TrafficConfig {
-                sessions,
-                turns,
-                // Ramp the fleet up over half a minute of wall clock.
-                arrival_spread_s: 30.0,
-                seed: 42,
-            }
-            .generate();
-            let report = serve_with_cache(&mut prices, &plans, &ServeConfig::real_time(cache));
-            SweepPoint { sessions, report }
-        })
-        .collect()
-}
-
-/// Largest offered fleet the system sustained fully real-time.
-fn capacity(points: &[SweepPoint]) -> usize {
-    points
-        .iter()
-        .filter(|p| p.report.sustained_real_time())
-        .map(|p| p.sessions)
-        .max()
-        .unwrap_or(0)
-}
+use vrex_system::capacity::{sustained_capacity, ServeGrid};
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let model = ModelConfig::llama3_8b();
-    let systems = [
-        SystemModel::new(PlatformSpec::a100(), Method::FlexGen),
-        SystemModel::new(PlatformSpec::a100(), Method::InfiniGen),
-        SystemModel::new(PlatformSpec::a100(), Method::ReKV),
-        SystemModel::new(PlatformSpec::vrex48(), Method::ReSV),
-    ];
-    let caches: &[usize] = if smoke { &[32_000] } else { &[8_000, 32_000] };
-    let fleet_sizes: &[usize] = if smoke {
-        &[1, 2, 4]
-    } else {
-        &[1, 2, 4, 8, 12, 16, 24]
-    };
-    let turns = if smoke { 1 } else { 2 };
+    let grid = ServeGrid::new(smoke);
+    let mut results = grid.sweep().into_iter();
 
     let mut summary = Table::new(["System", "Cache", "Sustained real-time sessions"]);
-    // Fan the (cache, platform) grid out across sweep workers, then
-    // render in grid order.
-    let units: Vec<(usize, &SystemModel)> = caches
-        .iter()
-        .flat_map(|&cache| systems.iter().map(move |sys| (cache, sys)))
-        .collect();
-    let results = par_map(&units, |&(cache, sys)| {
-        sweep(sys, &model, cache, fleet_sizes, turns)
-    });
-    let mut results = results.into_iter();
-    for &cache in caches {
+    for &cache in grid.caches {
         banner(&format!(
             "Serving sweep at {}K cache tokens ({} turns/session, 2 FPS)",
             cache / 1000,
-            turns
+            grid.turns
         ));
         let mut t = Table::new([
             "System",
@@ -111,13 +40,12 @@ fn main() {
             "p99 TTFT (s)",
             "p99 TPOT (s)",
         ]);
-        for sys in &systems {
-            let points = results.next().expect("one sweep per grid unit");
-            for p in &points {
-                let r = &p.report;
+        for sys in &grid.systems {
+            let reports = results.next().expect("one sweep per grid unit");
+            for r in &reports {
                 t.row([
                     sys.label(),
-                    p.sessions.to_string(),
+                    r.offered.to_string(),
                     r.admitted.to_string(),
                     r.queued.to_string(),
                     r.rejected.to_string(),
@@ -131,7 +59,7 @@ fn main() {
             summary.row([
                 sys.label(),
                 format!("{}K", cache / 1000),
-                capacity(&points).to_string(),
+                sustained_capacity(&reports).to_string(),
             ]);
         }
         t.print();

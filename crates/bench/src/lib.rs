@@ -21,10 +21,11 @@
 //!
 //! Beyond the figures, `realtime_session` shows the queueing transient
 //! of a one-session serve, `serve_capacity` / `tier_capacity` /
-//! `device_scaling` sweep multi-session serving capacity (reject-only,
-//! tiered, and across a device pool; `--smoke` for the CI-sized,
-//! hard-asserted runs), and `scaling` / `sweep_resv_params` explore
-//! parameter spaces.
+//! `device_scaling` render multi-session serving capacity (reject-only,
+//! tiered, and across a device pool; `--smoke` for the CI-sized grids)
+//! from the rows of `vrex_system::capacity` and assert its gate
+//! predicates, and `scaling` / `sweep_resv_params` explore parameter
+//! spaces.
 
 pub use vrex_core::par;
 

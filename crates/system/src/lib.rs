@@ -30,11 +30,14 @@
 //! multi-device [`DevicePool`]: arriving sessions are *placed* on a
 //! device (admission becomes placement), and cross-device KV
 //! migrations ride the NVLink / PCIe-switch fabric as contended
-//! resource-timeline work.
+//! resource-timeline work. [`capacity`] holds the capacity grids over
+//! all three, their typed rows and the predicates the headline claims
+//! are gated by.
 
 #![warn(missing_docs)]
 
 pub mod ablation;
+pub mod capacity;
 pub mod e2e;
 pub mod eventq;
 pub mod memory;

@@ -48,7 +48,7 @@ use std::collections::BTreeMap;
 
 use vrex_core::par::{par_map_with_workers, timed, workers as host_workers};
 use vrex_hwsim::interconnect::Interconnect;
-use vrex_hwsim::{seconds_to_ps, Engine};
+use vrex_hwsim::Engine;
 use vrex_model::ModelConfig;
 use vrex_workload::traffic::{PlanSource, SessionPlan, SlicePlans};
 
@@ -211,7 +211,7 @@ impl<'a> Placer<'a> {
             sys,
             model,
             cfg,
-            frame_interval_ps: seconds_to_ps(1.0 / cfg.fps),
+            frame_interval_ps: cfg.frame_interval_ps(),
             fit_bytes,
             demand: vec![0; pool.devices()],
             resident: vec![BTreeMap::new(); pool.devices()],

@@ -202,6 +202,19 @@ impl ServeConfig {
         self
     }
 
+    /// The camera's frame interval in integer ps, shared by the scheduler
+    /// and the placement pass. Panics unless `fps` is positive and the
+    /// real-time bar (two frame intervals) fits in `u64` ps.
+    pub(crate) fn frame_interval_ps(&self) -> u64 {
+        assert!(self.fps > 0.0, "fps must be positive");
+        let interval = seconds_to_ps(1.0 / self.fps);
+        assert!(
+            interval <= u64::MAX / 2,
+            "fps must be high enough that two frame intervals fit in u64 ps"
+        );
+        interval
+    }
+
     /// Selects nothing; kept because `benchmark/` is frozen; deleted by ROADMAP S1a.
     #[doc(hidden)]
     #[must_use]
@@ -377,7 +390,7 @@ pub(crate) fn run(
     cfg: &ServeConfig,
     trace: Option<&mut Vec<TraceEvent>>,
 ) -> ServeReport {
-    assert!(cfg.fps > 0.0, "fps must be positive");
+    let frame_interval_ps = cfg.frame_interval_ps();
     let sys = prices.system().clone();
     let model = prices.model().clone();
     // Tiered admission: the manager tracking fleet residency across
@@ -402,7 +415,6 @@ pub(crate) fn run(
         }
     };
     let max_wait_ps = seconds_to_ps(cfg.max_wait_s);
-    let frame_interval_ps = seconds_to_ps(1.0 / cfg.fps);
     let hint = source.remaining_hint();
     let mut sched = Sched {
         prices,

@@ -131,7 +131,14 @@ impl Stream {
         }
         // The camera starts when the session is admitted: a queued
         // session is not yet streaming, so its frame clock begins at
-        // admission, not at arrival.
+        // admission, not at arrival, and must still be on the u64 ps
+        // clock after the last frame.
+        let span = (frames as u64).checked_mul(frame_interval_ps);
+        let horizon = span.and_then(|span| now.checked_add(span));
+        assert!(
+            horizon.is_some(),
+            "frame clock overflows u64 ps: {frames} frames at this fps outlast the clock"
+        );
         let mut clock = now;
         let mut items = VecDeque::with_capacity(frames + questions + answers + later_tokens);
         for e in &plan.events {

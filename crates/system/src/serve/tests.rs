@@ -1,6 +1,7 @@
 //! Unit tests of the serving scheduler, driven through the entry points.
 
 use super::*;
+use crate::capacity::headline_platform;
 use crate::memory::PrefetchMode;
 use crate::method::Method;
 use crate::platform::PlatformSpec;
@@ -388,6 +389,24 @@ fn rejects_zero_fps() {
     let _ = serve_one_stream(&sys, 0, 0.0, 1);
 }
 
+/// At 1e-8 fps one frame interval saturates the ps clock, so the
+/// real-time bar (two intervals) cannot be represented.
+#[test]
+#[should_panic(expected = "two frame intervals fit in u64 ps")]
+fn rejects_fps_whose_real_time_bar_overflows() {
+    let sys = SystemModel::new(PlatformSpec::vrex8(), Method::ReSV);
+    let _ = serve_one_stream(&sys, 0, 1e-8, 1);
+}
+
+/// At 2e-7 fps the bar fits (1e19 ps), but four 5e18-ps frame
+/// intervals run off the end of the u64 ps clock.
+#[test]
+#[should_panic(expected = "frame clock overflows u64 ps")]
+fn rejects_frames_that_outlast_the_clock() {
+    let sys = SystemModel::new(PlatformSpec::vrex8(), Method::ReSV);
+    let _ = serve_one_stream(&sys, 0, 2e-7, 4);
+}
+
 #[test]
 fn sessions_without_events_are_still_accounted() {
     // A zero-turn plan has no work at all; it must still show up
@@ -513,10 +532,7 @@ fn speculative_prefetch_beats_demand_fetch_under_pressure() {
 /// rejected.
 #[test]
 fn out_waited_sessions_reject_despite_float_imprecise_deadlines() {
-    let mut platform = PlatformSpec::vrex48();
-    platform.mem_capacity /= 2;
-    platform.hot_window_tokens = 32_768;
-    let sys = SystemModel::new(platform, Method::ReSV);
+    let sys = SystemModel::new(headline_platform(), Method::ReSV);
     let r = serve(
         &sys,
         &llama(),
@@ -719,13 +735,10 @@ fn overlapped_trace_matches_golden_fingerprints() {
         exposed_s: f64,
         restored_bytes: u64,
     }
-    let mut headline = PlatformSpec::vrex48();
-    headline.mem_capacity /= 2;
-    headline.hot_window_tokens = 32_768;
     let cases = [
         Golden {
             name: "cluster prefetch, headline device",
-            sys: SystemModel::new(headline, Method::ReSV),
+            sys: SystemModel::new(headline_platform(), Method::ReSV),
             plans: fleet(12, 2, 10.0, 42),
             cfg: ServeConfig {
                 admission: AdmissionPolicy::tiered_cluster(),
@@ -801,10 +814,7 @@ fn overlapped_trace_matches_golden_fingerprints() {
 /// reserves on the timeline.
 #[test]
 fn overlapped_timeline_peak_stays_flat_as_the_fleet_grows() {
-    let mut headline = PlatformSpec::vrex48();
-    headline.mem_capacity /= 2;
-    headline.hot_window_tokens = 32_768;
-    let sys = SystemModel::new(headline, Method::ReSV);
+    let sys = SystemModel::new(headline_platform(), Method::ReSV);
     let model = llama();
     let cfg = ServeConfig {
         admission: AdmissionPolicy::tiered_cluster(),
@@ -880,48 +890,6 @@ fn link_contention_delays_fetch_by_exactly_the_overlapping_bytes() {
     assert_eq!(restore_ps - t1, 27_443_000);
     // No third party involved: the intervals tile the link exactly.
     assert_eq!(e.busy_time(pcie), restore_ps + 5_000_000);
-}
-
-/// The resource-timeline acceptance pin: on the halved-HBM
-/// V-Rex48 + ReSV headline configuration at 32K tokens (the
-/// `tier_capacity` smoke grid), overlapped execution sustains at
-/// least as many real-time streams as serialized execution at
-/// every fleet size, and strictly more in total.
-#[test]
-fn overlap_capacity_meets_or_beats_serialized_at_the_headline_config() {
-    let mut platform = PlatformSpec::vrex48();
-    platform.mem_capacity /= 2;
-    platform.hot_window_tokens = 32_768;
-    let sys = SystemModel::new(platform, Method::ReSV);
-    let model = llama();
-    let mut prices = StepPriceCache::new(&sys, &model);
-    let mut serial_best = 0usize;
-    let mut overlap_best = 0usize;
-    for sessions in [4usize, 8, 12] {
-        let plans = TrafficConfig {
-            sessions,
-            turns: 2,
-            arrival_spread_s: 10.0,
-            seed: 42,
-        }
-        .generate();
-        let cfg = ServeConfig::real_time_tiered(32_000);
-        let serial = serve_with_cache(&mut prices, &plans, &cfg);
-        let overlap = serve_with_cache(&mut prices, &plans, &cfg.with_overlap(true));
-        assert!(
-            overlap.real_time_sessions >= serial.real_time_sessions,
-            "overlap {} < serialized {} real-time streams at fleet {}",
-            overlap.real_time_sessions,
-            serial.real_time_sessions,
-            sessions
-        );
-        serial_best = serial_best.max(serial.real_time_sessions);
-        overlap_best = overlap_best.max(overlap.real_time_sessions);
-    }
-    assert!(
-        overlap_best >= serial_best,
-        "overlap capacity {overlap_best} below serialized {serial_best}"
-    );
 }
 
 /// A single uncontended stream executes identically under both

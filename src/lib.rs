@@ -90,16 +90,14 @@
 //!
 //! ```
 //! use vrex::model::ModelConfig;
-//! use vrex::system::{serve, Method, PlatformSpec, ServeConfig, SystemModel};
+//! use vrex::system::capacity::headline_platform;
+//! use vrex::system::{serve, Method, ServeConfig, SystemModel};
 //! use vrex::workload::TrafficConfig;
 //!
-//! // Halve the device memory and keep a wide resident window per
-//! // stream: the fleet now overflows HBM long before compute
-//! // saturates.
-//! let mut platform = PlatformSpec::vrex48();
-//! platform.mem_capacity /= 2;
-//! platform.hot_window_tokens = 32_768;
-//! let sys = SystemModel::new(platform, Method::ReSV);
+//! // The headline device: V-Rex48 with half its HBM and a wide
+//! // resident window per stream, so the fleet overflows HBM long
+//! // before compute saturates.
+//! let sys = SystemModel::new(headline_platform(), Method::ReSV);
 //! let model = ModelConfig::llama3_8b();
 //! let plans = TrafficConfig {
 //!     sessions: 8,
