@@ -8,8 +8,9 @@
 //! most *summed* real-time streams any offered fleet achieved.
 //!
 //! Usage: `device_scaling [--smoke]` — `--smoke` runs the CI-sized
-//! grid (device counts 1 and 2 only). Both modes assert that for every
-//! placement policy 2-device capacity is at least 1-device capacity.
+//! grid (device counts 1 and 2 only). Both modes assert that 2-device
+//! capacity exceeds 1-device capacity under load-balanced and migrate
+//! placement and is at least it under first-fit.
 //!
 //! The grid (fleets scale with and nest across pool sizes), its serves
 //! and the gate are [`vrex_system::capacity::DeviceGrid`] and

@@ -5,8 +5,8 @@
 use vrex_bench::report::{banner, f, Table};
 use vrex_hwsim::seconds_to_ps;
 use vrex_model::ModelConfig;
-use vrex_system::{serve, Method, PlatformSpec, ServeConfig, SystemModel};
-use vrex_workload::traffic::SessionPlan;
+use vrex_system::{Method, PlatformSpec, Serve, ServeConfig, StepPriceCache, SystemModel};
+use vrex_workload::traffic::{SessionPlan, SlicePlans};
 use vrex_workload::SessionEvent;
 
 fn main() {
@@ -37,7 +37,8 @@ fn main() {
     for sys in &systems {
         for start in [1_000usize, 20_000, 40_000] {
             let cfg = ServeConfig::real_time(start);
-            let r = serve(sys, &model, &plan, &cfg);
+            let mut prices = StepPriceCache::new(sys, &model);
+            let r = Serve::new(&mut prices, &cfg).run(&mut SlicePlans::new(&plan));
             assert_eq!(r.admitted, 1);
             let s = &r.sessions[0];
             let interval_ps = seconds_to_ps(1.0 / cfg.fps);

@@ -16,7 +16,7 @@
 use vrex_bench::par::par_map_with_workers;
 use vrex_model::ModelConfig;
 use vrex_system::{
-    serve_stream, Method, PlatformSpec, ServeConfig, ServeReport, StepPriceCache, SystemModel,
+    Method, PlatformSpec, Serve, ServeConfig, ServeReport, StepPriceCache, SystemModel,
 };
 use vrex_workload::traffic::OpenLoopConfig;
 
@@ -59,7 +59,7 @@ fn measure(u: &Unit) -> ServeReport {
     }
     .stream();
     let mut prices = StepPriceCache::new(&sys, &model);
-    serve_stream(&mut prices, &mut source, &cfg)
+    Serve::new(&mut prices, &cfg).run(&mut source)
 }
 
 #[test]

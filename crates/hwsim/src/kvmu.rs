@@ -161,13 +161,6 @@ impl Kvmu {
         token
     }
 
-    /// Updates a token's cluster assignment (clusters evolve as the HC
-    /// table absorbs new tokens). Only meaningful while the token is
-    /// still hot — offloaded placement is final until re-fetch.
-    pub fn set_cluster(&mut self, token: usize, cluster: usize) {
-        self.cluster_of[token] = Some(cluster);
-    }
-
     fn enforce_budget(&mut self) {
         while self.hot_queue.len() > self.hot_capacity {
             // Offload the oldest hot tokens — grouped by cluster so

@@ -61,16 +61,6 @@ impl PcieConfig {
         self.lane_bytes_per_s * self.lanes as f64
     }
 
-    /// Payload efficiency for a given transfer chunk size: useful bytes
-    /// over wire bytes (TLP headers included).
-    pub fn payload_efficiency(&self, chunk_bytes: u64) -> f64 {
-        if chunk_bytes == 0 {
-            return 0.0;
-        }
-        let tlps = chunk_bytes.div_ceil(self.max_payload);
-        chunk_bytes as f64 / (chunk_bytes + tlps * self.tlp_overhead) as f64
-    }
-
     /// Duration (ps) of transferring `total_bytes` split into DMA
     /// chunks of `chunk_bytes` (last chunk may be short).
     ///
@@ -131,14 +121,6 @@ mod tests {
             bw_small < 0.6 * bw_big,
             "512 B chunks {bw_small:.2e} should clearly underperform {bw_big:.2e}"
         );
-    }
-
-    #[test]
-    fn payload_efficiency_bounds() {
-        let cfg = PcieConfig::gen4_x16();
-        assert!(cfg.payload_efficiency(256) > 0.9);
-        assert!(cfg.payload_efficiency(64) < 0.75);
-        assert_eq!(cfg.payload_efficiency(0), 0.0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The serving scheduler's event queue.
 //!
-//! The serving event core ([`crate::serve()`]) is a discrete-event
+//! The serving event core ([`crate::serve::Serve`]) is a discrete-event
 //! simulation on integer picoseconds whose only ordering requirement is
 //! a min-queue over a total order: pop the smallest `(time, kind,
 //! payload)` next, deterministically, including among same-time events.

@@ -55,14 +55,14 @@ pub use memory::{
     AdmissionPolicy, MigrationTask, PrefetchMode, RestorePlan, TierStats, TieredKvManager,
 };
 pub use method::{Method, MethodProfile};
-pub use placement::{
-    serve_sharded, serve_sharded_stream, serve_sharded_traced_with_workers,
-    serve_sharded_with_cache_in, InterconnectReport, PlacementPolicy, ShardScratch,
-    ShardedServeReport,
-};
+pub use placement::{InterconnectReport, PlacementPolicy, ShardScratch, ShardedServeReport};
 pub use platform::{ComputeSpec, DevicePool, PlatformSpec};
 pub use pricing::{ExecContext, StepPriceCache};
+#[doc(hidden)]
 pub use serve::{
-    serve, serve_stream, serve_traced, serve_with_cache, ServeConfig, ServeCounters, ServeReport,
-    SessionServeReport, TierReport, TraceEvent, TraceKind,
+    serve_sharded_stream, serve_sharded_with_cache_in, serve_stream, serve_with_cache,
+};
+pub use serve::{
+    Serve, ServeConfig, ServeCounters, ServeReport, SessionServeReport, TierReport, TraceEvent,
+    TraceKind,
 };

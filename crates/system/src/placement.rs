@@ -39,7 +39,7 @@
 //! A pool of one device **is** the single-device platform: every
 //! policy routes every plan to device 0, no migration can exist
 //! (source and destination would coincide), and phase 2 is exactly
-//! [`crate::serve::serve`] over the original fleet. The tests pin this
+//! [`Serve::run`](crate::serve::Serve::run) over the original fleet. The tests pin this
 //! byte-for-byte — report equality *and* scheduler-trace fingerprint
 //! equality — for every policy, so sharding can never perturb the
 //! existing golden traces.
@@ -54,10 +54,9 @@ use vrex_workload::traffic::{PlanSource, SessionPlan, SlicePlans};
 
 use crate::e2e::SystemModel;
 use crate::memory::{AdmissionPolicy, MIGRATION_CHUNK_BYTES};
-use crate::method::Method;
 use crate::platform::DevicePool;
 use crate::pricing::StepPriceCache;
-use crate::serve::{run, ServeConfig, ServeReport, TraceEvent};
+use crate::serve::{run, Serve, ServeConfig, ServeReport};
 
 /// How arriving sessions are assigned to the devices of a pool.
 ///
@@ -200,6 +199,7 @@ impl<'a> Placer<'a> {
         sys: &'a SystemModel,
         model: &'a ModelConfig,
         cfg: &'a ServeConfig,
+        frame_interval_ps: u64,
         policy: PlacementPolicy,
     ) -> Self {
         let fit_bytes = match cfg.admission {
@@ -211,7 +211,7 @@ impl<'a> Placer<'a> {
             sys,
             model,
             cfg,
-            frame_interval_ps: cfg.frame_interval_ps(),
+            frame_interval_ps,
             fit_bytes,
             demand: vec![0; pool.devices()],
             resident: vec![BTreeMap::new(); pool.devices()],
@@ -280,16 +280,11 @@ impl<'a> Placer<'a> {
 }
 
 /// Reusable buffers for the placement pass: the per-device routed
-/// sub-fleet vectors, recycled across repeated sharded serves.
-///
-/// A sweep that serves many fleets over one pool (`device_scaling`
-/// drives 3 policies × up to 7 fleet sizes per unit) previously
-/// allocated fresh per-device `Vec`s on every serve; a recycled scratch
-/// keeps the grown capacities, so after the first serve of a unit the
-/// routing pass allocates nothing for its sub-fleet spines. Fresh
-/// (non-recycled) serves pre-size each sub-fleet from the source's
-/// remaining hint split across the pool, which the placer's
-/// demand-tracker-driven spreading policies fill near-exactly.
+/// sub-fleet vectors. A sweep that serves many fleets over one pool
+/// ([`Serve::scratch`](crate::serve::Serve::scratch)) keeps their grown
+/// capacities, so after its first serve the routing pass allocates
+/// nothing for them; a fresh scratch pre-sizes each sub-fleet from the
+/// source's remaining hint split across the pool.
 #[derive(Debug, Default)]
 pub struct ShardScratch {
     routed: Vec<Vec<SessionPlan>>,
@@ -308,11 +303,8 @@ impl ShardScratch {
 /// and the fabric accounting.
 fn route(
     pool: &DevicePool,
-    sys: &SystemModel,
-    model: &ModelConfig,
+    placer: &mut Placer<'_>,
     source: &mut dyn PlanSource,
-    cfg: &ServeConfig,
-    policy: PlacementPolicy,
     scratch: &mut ShardScratch,
 ) -> (Vec<(usize, usize)>, InterconnectReport) {
     let n = pool.devices();
@@ -327,7 +319,6 @@ fn route(
     }
     let mut engine = Engine::new();
     let fabric = Interconnect::install(&mut engine, pool.interconnect.clone(), n);
-    let mut placer = Placer::new(pool, sys, model, cfg, policy);
     let mut placements = Vec::with_capacity(hint);
     let mut report = InterconnectReport::default();
     while let Some(mut plan) = source.next_plan() {
@@ -356,184 +347,109 @@ fn route(
     (placements, report)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_sharded(
-    prices: &mut StepPriceCache,
-    pool: &DevicePool,
-    source: &mut dyn PlanSource,
-    cfg: &ServeConfig,
-    policy: PlacementPolicy,
-    mut traces: Option<&mut Vec<Vec<TraceEvent>>>,
-    workers: usize,
-    scratch: &mut ShardScratch,
-) -> ShardedServeReport {
-    assert_eq!(
-        prices.system().platform,
-        *pool.device(),
-        "price cache must be built over the pool's device platform"
-    );
-    let sys = prices.system().clone();
-    let model = prices.model().clone();
-    let (placements, interconnect) = route(pool, &sys, &model, source, cfg, policy, scratch);
-    let n = pool.devices();
-    let workers = workers.clamp(1, n);
-    let want_traces = traces.is_some();
-    // Each device serves through its own fork of the warmed cache, and
-    // the join returns results in device order. Devices only interact
-    // through the placement pass (already complete) and the fabric
-    // timeline (already priced), and serve outcomes never depend on
-    // cache contents, so the reports are the same at every worker
-    // count — one worker simply serves the devices in order on this
-    // thread.
-    let base: &StepPriceCache = prices;
-    let outcomes = par_map_with_workers(&scratch.routed, workers, |sub| {
-        let mut fork = base.fork();
-        let mut trace = want_traces.then(Vec::new);
-        let (report, wall_ns) =
-            timed(|| run(&mut fork, &mut SlicePlans::new(sub), cfg, trace.as_mut()));
-        (report, wall_ns, trace, fork)
-    });
-    let mut devices = Vec::with_capacity(n);
-    let mut device_wall_ns = Vec::with_capacity(n);
-    for (report, wall_ns, trace, fork) in outcomes {
-        // Forks merge back in device order: the parent cache after the
-        // join is a function of the fleet, never of thread scheduling.
-        prices.absorb(fork);
-        devices.push(report);
-        device_wall_ns.push(wall_ns);
-        if let (Some(ts), Some(t)) = (traces.as_deref_mut(), trace) {
-            ts.push(t);
+impl Serve<'_> {
+    /// Serves the fleet across `pool`, placed by `policy`. The price
+    /// cache is built over the pool's device platform and prices every
+    /// device: each serves its sub-fleet through a fork of it.
+    pub fn run_pool(
+        self,
+        pool: &DevicePool,
+        policy: PlacementPolicy,
+        source: &mut dyn PlanSource,
+    ) -> ShardedServeReport {
+        let frame_interval_ps = self.prologue(Some(pool));
+        let Serve {
+            prices,
+            cfg,
+            mut traces,
+            workers,
+            scratch,
+        } = self;
+        let mut fresh = ShardScratch::new();
+        let scratch = scratch.unwrap_or(&mut fresh);
+        let sys = prices.system().clone();
+        let model = prices.model().clone();
+        let mut placer = Placer::new(pool, &sys, &model, cfg, frame_interval_ps, policy);
+        let (placements, interconnect) = route(pool, &mut placer, source, scratch);
+        let n = pool.devices();
+        let workers = workers.unwrap_or_else(host_workers).clamp(1, n);
+        let want_traces = traces.is_some();
+        // Each device serves through its own fork of the warmed cache, and
+        // the join returns results in device order. Devices only interact
+        // through the placement pass (already complete) and the fabric
+        // timeline (already priced), and serve outcomes never depend on
+        // cache contents, so the reports are the same at every worker
+        // count — one worker simply serves the devices in order on this
+        // thread.
+        let base: &StepPriceCache = prices;
+        let outcomes = par_map_with_workers(&scratch.routed, workers, |sub| {
+            let mut fork = base.fork();
+            let mut trace = want_traces.then(Vec::new);
+            let (report, wall_ns) = timed(|| {
+                let mut sub = SlicePlans::new(sub);
+                run(&mut fork, &mut sub, cfg, frame_interval_ps, trace.as_mut())
+            });
+            (report, wall_ns, trace, fork)
+        });
+        let mut devices = Vec::with_capacity(n);
+        let mut device_wall_ns = Vec::with_capacity(n);
+        for (report, wall_ns, trace, fork) in outcomes {
+            // Forks merge back in device order: the parent cache after the
+            // join is a function of the fleet, never of thread scheduling.
+            prices.absorb(fork);
+            devices.push(report);
+            device_wall_ns.push(wall_ns);
+            if let (Some(ts), Some(t)) = (traces.as_deref_mut(), trace) {
+                ts.push(t);
+            }
+        }
+        ShardedServeReport {
+            devices,
+            placements,
+            interconnect,
+            device_wall_ns,
+            workers,
         }
     }
-    ShardedServeReport {
-        devices,
-        placements,
-        interconnect,
-        device_wall_ns,
-        workers,
-    }
-}
-
-/// Serves a fleet across a [`DevicePool`] under a [`PlacementPolicy`],
-/// reporting per-device serve outcomes plus fabric accounting, on every
-/// core the host offers.
-///
-/// Deterministic, like [`crate::serve::serve`]: the only randomness is
-/// in the plans. With a pool of one device this is byte-identical to
-/// `serve` over the same fleet (the tests pin it).
-pub fn serve_sharded(
-    pool: &DevicePool,
-    method: Method,
-    model: &ModelConfig,
-    plans: &[SessionPlan],
-    cfg: &ServeConfig,
-    policy: PlacementPolicy,
-) -> ShardedServeReport {
-    let sys = SystemModel::new(pool.device().clone(), method);
-    serve_sharded_with_cache_in(
-        &mut StepPriceCache::new(&sys, model),
-        pool,
-        plans,
-        cfg,
-        policy,
-        host_workers(),
-        &mut ShardScratch::new(),
-    )
-}
-
-/// [`serve_sharded`] against a caller-owned price cache (built over the
-/// pool's device platform; devices are identical, so one cache serves
-/// the whole pool — and whole sweeps, across device counts), with an
-/// explicit worker count and a caller-owned [`ShardScratch`]. Sweeps
-/// that serve many fleets over one pool recycle the scratch's
-/// per-device sub-fleet buffers across serves; `workers` is clamped to
-/// `1..=pool.devices()`.
-pub fn serve_sharded_with_cache_in(
-    prices: &mut StepPriceCache,
-    pool: &DevicePool,
-    plans: &[SessionPlan],
-    cfg: &ServeConfig,
-    policy: PlacementPolicy,
-    workers: usize,
-    scratch: &mut ShardScratch,
-) -> ShardedServeReport {
-    run_sharded(
-        prices,
-        pool,
-        &mut SlicePlans::new(plans),
-        cfg,
-        policy,
-        None,
-        workers,
-        scratch,
-    )
-}
-
-/// [`serve_sharded_with_cache_in`] over a streaming [`PlanSource`], on
-/// every core the host offers. The placement pass consumes the source
-/// one plan at a time; per-device sub-fleets are materialized (memory
-/// is sized by the fleet, not by concurrency — acceptable at
-/// placement-study scale). A materialized slice routed through
-/// [`SlicePlans`] produces the identical report.
-pub fn serve_sharded_stream(
-    prices: &mut StepPriceCache,
-    pool: &DevicePool,
-    source: &mut dyn PlanSource,
-    cfg: &ServeConfig,
-    policy: PlacementPolicy,
-) -> ShardedServeReport {
-    run_sharded(
-        prices,
-        pool,
-        source,
-        cfg,
-        policy,
-        None,
-        host_workers(),
-        &mut ShardScratch::new(),
-    )
-}
-
-/// [`serve_sharded`] with an explicit worker count that also records
-/// every device's scheduler trace (indexed by device). The cross-device
-/// golden-trace fingerprints, the N = 1 byte-identity tests and the
-/// parallel-vs-sequential property tests are built on this seam.
-#[allow(clippy::too_many_arguments)]
-pub fn serve_sharded_traced_with_workers(
-    pool: &DevicePool,
-    method: Method,
-    model: &ModelConfig,
-    plans: &[SessionPlan],
-    cfg: &ServeConfig,
-    policy: PlacementPolicy,
-    workers: usize,
-) -> (ShardedServeReport, Vec<Vec<TraceEvent>>) {
-    let sys = SystemModel::new(pool.device().clone(), method);
-    let mut traces = Vec::new();
-    let report = run_sharded(
-        &mut StepPriceCache::new(&sys, model),
-        pool,
-        &mut SlicePlans::new(plans),
-        cfg,
-        policy,
-        Some(&mut traces),
-        workers,
-        &mut ShardScratch::new(),
-    );
-    (report, traces)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::method::Method;
     use crate::platform::PlatformSpec;
-    use crate::serve::serve_traced;
-    use crate::serve::tests::trace_fingerprint;
+    use crate::serve::tests::{serve_traced, trace_fingerprint};
+    use crate::serve::TraceEvent;
     use vrex_hwsim::interconnect::{CopySpan, InterconnectConfig};
     use vrex_workload::traffic::TrafficConfig;
 
     fn llama() -> ModelConfig {
         ModelConfig::llama3_8b()
+    }
+
+    /// One ReSV serve of `plans` across `pool` over a fresh price
+    /// cache, recording every device's trace into `traces`.
+    fn serve_pool_traced(
+        pool: &DevicePool,
+        plans: &[SessionPlan],
+        cfg: &ServeConfig,
+        policy: PlacementPolicy,
+        traces: &mut Vec<Vec<TraceEvent>>,
+    ) -> ShardedServeReport {
+        let sys = SystemModel::new(pool.device().clone(), Method::ReSV);
+        Serve::new(&mut StepPriceCache::new(&sys, &llama()), cfg)
+            .trace(traces)
+            .run_pool(pool, policy, &mut SlicePlans::new(plans))
+    }
+
+    /// [`serve_pool_traced`] without the traces.
+    fn serve_pool(
+        pool: &DevicePool,
+        plans: &[SessionPlan],
+        cfg: &ServeConfig,
+        policy: PlacementPolicy,
+    ) -> ShardedServeReport {
+        serve_pool_traced(pool, plans, cfg, policy, &mut Vec::new())
     }
 
     fn fleet(sessions: usize, turns: usize, spread: f64, seed: u64) -> Vec<SessionPlan> {
@@ -547,7 +463,7 @@ mod tests {
     }
 
     /// The N = 1 byte-identity contract: a one-device pool reproduces
-    /// `serve` exactly — same report, same scheduler trace, zero fabric
+    /// the unsharded serve exactly — same report, same scheduler trace, zero fabric
     /// activity — under every policy, both drivers, both admission
     /// modes.
     #[test]
@@ -564,15 +480,8 @@ mod tests {
             let sys = SystemModel::new(PlatformSpec::vrex48(), Method::ReSV);
             let (expect, expect_trace) = serve_traced(&sys, &model, &plans, cfg);
             for policy in PlacementPolicy::ALL {
-                let (got, traces) = serve_sharded_traced_with_workers(
-                    &pool,
-                    Method::ReSV,
-                    &model,
-                    &plans,
-                    cfg,
-                    policy,
-                    host_workers(),
-                );
+                let mut traces = Vec::new();
+                let got = serve_pool_traced(&pool, &plans, cfg, policy, &mut traces);
                 assert_eq!(got.devices.len(), 1);
                 assert_eq!(got.devices[0], expect, "{} report drifted", policy.label());
                 assert_eq!(
@@ -593,13 +502,10 @@ mod tests {
     #[test]
     fn two_device_placement_conserves_the_fleet() {
         let pool = DevicePool::homogeneous(PlatformSpec::vrex48(), 2);
-        let model = llama();
         let plans = fleet(8, 2, 8.0, 17);
         for policy in PlacementPolicy::ALL {
-            let r = serve_sharded(
+            let r = serve_pool(
                 &pool,
-                Method::ReSV,
-                &model,
                 &plans,
                 &ServeConfig::real_time_tiered(30_000),
                 policy,
@@ -626,10 +532,8 @@ mod tests {
     #[test]
     fn load_balanced_spreads_a_simultaneous_fleet() {
         let pool = DevicePool::homogeneous(PlatformSpec::vrex48(), 2);
-        let r = serve_sharded(
+        let r = serve_pool(
             &pool,
-            Method::ReSV,
-            &llama(),
             &fleet(6, 1, 0.0, 5),
             &ServeConfig::real_time(8_000),
             PlacementPolicy::LoadBalanced,
@@ -650,10 +554,8 @@ mod tests {
         let pool = DevicePool::homogeneous(PlatformSpec::vrex48(), 2);
         let model = llama();
         let cfg = ServeConfig::real_time_tiered(30_000);
-        let r = serve_sharded(
+        let r = serve_pool(
             &pool,
-            Method::ReSV,
-            &model,
             &fleet(10, 1, 60.0, 3),
             &cfg,
             PlacementPolicy::Migrate,
@@ -749,7 +651,6 @@ mod tests {
         device.mem_capacity = 32u64 << 30;
         device.hot_window_tokens = 32_768;
         let pool = DevicePool::homogeneous(device, 2);
-        let model = llama();
         let plans = fleet(8, 2, 8.0, 17);
         let golden: [(bool, [(usize, u64); 2]); 2] = [
             (
@@ -763,15 +664,8 @@ mod tests {
         ];
         for (overlap, expected) in golden {
             let cfg = ServeConfig::real_time(32_000).with_overlap(overlap);
-            let (_, traces) = serve_sharded_traced_with_workers(
-                &pool,
-                Method::ReSV,
-                &model,
-                &plans,
-                &cfg,
-                PlacementPolicy::FirstFit,
-                host_workers(),
-            );
+            let mut traces = Vec::new();
+            serve_pool_traced(&pool, &plans, &cfg, PlacementPolicy::FirstFit, &mut traces);
             let got = [trace_fingerprint(&traces[0]), trace_fingerprint(&traces[1])];
             assert_eq!(got, expected, "overlap={overlap}: fingerprints drifted");
         }

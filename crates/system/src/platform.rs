@@ -173,7 +173,7 @@ pub const MAX_POOL_DEVICES: usize = 16;
 /// serving, its own tiered KV-manager state); the pool adds only the
 /// interconnect over which KV blocks migrate between devices. A pool
 /// of one device is *exactly* the single-device platform: sharded
-/// serving over it must reproduce `serve()` byte-identically.
+/// serving over it must reproduce the unsharded serve byte-identically.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DevicePool {
     device: PlatformSpec,

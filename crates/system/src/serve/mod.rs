@@ -112,7 +112,7 @@
 //!
 //! ## Module map
 //!
-//! This file holds the configuration, the four entry points, the
+//! This file holds the configuration, the [`Serve`] entry point, the
 //! scheduler state (`Sched`) and `run`, which builds it and hands it
 //! to a driver. The behaviour is `impl Sched` blocks in four private
 //! modules: `stream` (events, per-session work queues, the slab),
@@ -136,6 +136,8 @@ use vrex_workload::traffic::{PlanSource, SessionPlan, SlicePlans};
 use crate::e2e::SystemModel;
 use crate::eventq::{EventQueue, QueueKind};
 use crate::memory::{AdmissionPolicy, MigrationTask, RestorePlan, TieredKvManager};
+use crate::placement::{PlacementPolicy, ShardScratch, ShardedServeReport};
+use crate::platform::DevicePool;
 use crate::pricing::{PriceKeyHasher, StepPriceCache};
 use drivers::{InFlight, Resources};
 pub use report::{
@@ -154,7 +156,7 @@ pub struct ServeConfig {
     pub initial_cache_tokens: usize,
     /// How long an arriving session may wait for memory before being
     /// rejected (seconds). 0 rejects immediately when full. Converted
-    /// to integer ps once at the top of [`serve`]; every deadline
+    /// to integer ps once when the scheduler is built; every deadline
     /// comparison afterwards is exact.
     pub max_wait_s: f64,
     /// What to do with sessions that do not fit in device memory.
@@ -224,68 +226,143 @@ impl ServeConfig {
     }
 }
 
-/// Serves a fleet of planned sessions on one platform+method pair and
-/// reports per-session and fleet latency/admission statistics.
+/// The serve entry point: a builder over a caller-owned price cache
+/// (built over the platform, method and model to serve) and a config.
 ///
-/// Deterministic: the only randomness is in the plans themselves.
-/// Builds a fresh [`StepPriceCache`] per call; sweeps that serve many
-/// fleets on the same platform+method should hold one cache and call
-/// [`serve_with_cache`] so batch shapes are priced once per sweep.
-pub fn serve(
-    sys: &SystemModel,
-    model: &ModelConfig,
-    plans: &[SessionPlan],
-    cfg: &ServeConfig,
-) -> ServeReport {
-    serve_with_cache(&mut StepPriceCache::new(sys, model), plans, cfg)
+/// * [`Serve::run`] serves the fleet on one device: a [`ServeReport`].
+/// * [`Serve::run_pool`] routes it across a [`DevicePool`] and serves
+///   each device's share: a [`ShardedServeReport`], one `ServeReport`
+///   per device. A one-device pool reproduces `run` byte for byte.
+///
+/// Both terminals first run one prologue, which panics on a config no
+/// serve can run (`fps` not positive, or a real-time bar of two frame
+/// intervals past `u64` ps). Deterministic: the only randomness is in
+/// the plans, which the source yields in nondecreasing arrival order
+/// (a slice through [`SlicePlans`] gives the same report as a stream).
+/// A batch shape is priced once per cache, so a sweep holds one cache
+/// across its serves, serialized and overlapped alike.
+#[derive(Debug)]
+#[must_use = "a Serve does nothing until `run` or `run_pool`"]
+pub struct Serve<'a> {
+    pub(crate) prices: &'a mut StepPriceCache,
+    pub(crate) cfg: &'a ServeConfig,
+    pub(crate) traces: Option<&'a mut Vec<Vec<TraceEvent>>>,
+    pub(crate) workers: Option<usize>,
+    pub(crate) scratch: Option<&'a mut ShardScratch>,
 }
 
-/// [`serve`] against a caller-owned price cache (the platform, method,
-/// and model are the ones the cache was built over). One cache may be
-/// shared across serialized and overlapped runs: pricing does not
-/// depend on the execution model, so both hit the same entries.
+impl<'a> Serve<'a> {
+    /// A serve of `cfg` priced through `prices`.
+    pub fn new(prices: &'a mut StepPriceCache, cfg: &'a ServeConfig) -> Self {
+        Serve {
+            prices,
+            cfg,
+            traces: None,
+            workers: None,
+            scratch: None,
+        }
+    }
+
+    /// Records every scheduler transition, one trace per device in
+    /// device order (one for [`Serve::run`]): the seam of the
+    /// event-invariant tests and the golden fingerprints.
+    pub fn trace(mut self, traces: &'a mut Vec<Vec<TraceEvent>>) -> Self {
+        self.traces = Some(traces);
+        self
+    }
+
+    /// Worker threads [`Serve::run_pool`] serves the devices on,
+    /// clamped to `1..=pool.devices()`; every host core when unset.
+    /// Reports are the same at every count.
+    pub fn workers(mut self, workers: usize) -> Self {
+        self.workers = Some(workers);
+        self
+    }
+
+    /// Routing buffers [`Serve::run_pool`] recycles across a sweep.
+    pub fn scratch(mut self, scratch: &'a mut ShardScratch) -> Self {
+        self.scratch = Some(scratch);
+        self
+    }
+
+    /// Serves the fleet on one device.
+    pub fn run(self, source: &mut dyn PlanSource) -> ServeReport {
+        let frame_interval_ps = self.prologue(None);
+        let mut trace = self.traces.is_some().then(Vec::new);
+        let report = run(
+            self.prices,
+            source,
+            self.cfg,
+            frame_interval_ps,
+            trace.as_mut(),
+        );
+        if let (Some(ts), Some(t)) = (self.traces, trace) {
+            ts.push(t);
+        }
+        report
+    }
+
+    /// The config checks both terminals run before serving anything.
+    /// Returns the frame interval in integer ps, derived once here and
+    /// handed to the placer and to every device's scheduler.
+    pub(crate) fn prologue(&self, pool: Option<&DevicePool>) -> u64 {
+        if let Some(pool) = pool {
+            assert_eq!(
+                self.prices.system().platform,
+                *pool.device(),
+                "price cache must be built over the pool's device platform"
+            );
+        }
+        self.cfg.frame_interval_ps()
+    }
+}
+
+// The four entry points `benchmark/` calls, each one builder chain.
+// Kept because `benchmark/` is frozen; deleted by ROADMAP S1a.
+
+#[doc(hidden)]
 pub fn serve_with_cache(
     prices: &mut StepPriceCache,
     plans: &[SessionPlan],
     cfg: &ServeConfig,
 ) -> ServeReport {
-    run(prices, &mut SlicePlans::new(plans), cfg, None)
+    Serve::new(prices, cfg).run(&mut SlicePlans::new(plans))
 }
 
-/// [`serve_with_cache`] over a streaming [`PlanSource`]: the
-/// fleet-scale entry point, which never materializes the whole fleet.
-/// The source must yield plans in nondecreasing arrival order (every
-/// `vrex_workload::traffic` source does, by construction); a
-/// materialized slice run through [`SlicePlans`] produces the
-/// identical report.
+#[doc(hidden)]
 pub fn serve_stream(
     prices: &mut StepPriceCache,
     source: &mut dyn PlanSource,
     cfg: &ServeConfig,
 ) -> ServeReport {
-    run(prices, source, cfg, None)
+    Serve::new(prices, cfg).run(source)
 }
 
-/// [`serve`] that also records every scheduler transition. The trace is
-/// the test seam for the event-queue invariants: strictly monotone
-/// simulated time under serialized execution (weakly monotone under the
-/// resource timeline, where two batches may complete at one instant),
-/// no wake-up in the past, every session reaching exactly one terminal
-/// outcome.
-pub fn serve_traced(
-    sys: &SystemModel,
-    model: &ModelConfig,
+#[doc(hidden)]
+pub fn serve_sharded_with_cache_in(
+    prices: &mut StepPriceCache,
+    pool: &DevicePool,
     plans: &[SessionPlan],
     cfg: &ServeConfig,
-) -> (ServeReport, Vec<TraceEvent>) {
-    let mut trace = Vec::new();
-    let report = run(
-        &mut StepPriceCache::new(sys, model),
-        &mut SlicePlans::new(plans),
-        cfg,
-        Some(&mut trace),
-    );
-    (report, trace)
+    policy: PlacementPolicy,
+    workers: usize,
+    scratch: &mut ShardScratch,
+) -> ShardedServeReport {
+    Serve::new(prices, cfg)
+        .workers(workers)
+        .scratch(scratch)
+        .run_pool(pool, policy, &mut SlicePlans::new(plans))
+}
+
+#[doc(hidden)]
+pub fn serve_sharded_stream(
+    prices: &mut StepPriceCache,
+    pool: &DevicePool,
+    source: &mut dyn PlanSource,
+    cfg: &ServeConfig,
+    policy: PlacementPolicy,
+) -> ShardedServeReport {
+    Serve::new(prices, cfg).run_pool(pool, policy, source)
 }
 
 /// An arrived session waiting for admission. The fit-check inputs
@@ -388,9 +465,9 @@ pub(crate) fn run(
     prices: &mut StepPriceCache,
     source: &mut dyn PlanSource,
     cfg: &ServeConfig,
+    frame_interval_ps: u64,
     trace: Option<&mut Vec<TraceEvent>>,
 ) -> ServeReport {
-    let frame_interval_ps = cfg.frame_interval_ps();
     let sys = prices.system().clone();
     let model = prices.model().clone();
     // Tiered admission: the manager tracking fleet residency across

@@ -253,7 +253,7 @@ impl ServeReport {
     }
 }
 
-/// What woke the scheduler (diagnostics/test seam; see [`super::serve_traced`]).
+/// What woke the scheduler (diagnostics/test seam; see [`super::Serve::trace`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceKind {
     /// A planned session's arrival instant.
@@ -267,7 +267,7 @@ pub enum TraceKind {
 }
 
 /// One recorded scheduler transition: simulated time advanced to `ps`
-/// because of `kind`. [`super::serve_traced`] returns the full sequence. Under
+/// because of `kind`. [`super::Serve::trace`] records the full sequence. Under
 /// serialized execution the event-invariant property tests assert it is
 /// strictly monotone (time never stalls or rewinds — the PR 3 livelock
 /// class is checked wholesale); under the resource timeline two batches

@@ -1,4 +1,4 @@
-//! Unit tests of the serving scheduler, driven through the entry points.
+//! Unit tests of the serving scheduler, driven through [`Serve`].
 
 use super::*;
 use crate::capacity::headline_platform;
@@ -13,6 +13,31 @@ use vrex_workload::SessionEvent;
 
 fn llama() -> ModelConfig {
     ModelConfig::llama3_8b()
+}
+
+/// One serve of `plans` over a fresh price cache.
+fn serve(
+    sys: &SystemModel,
+    model: &ModelConfig,
+    plans: &[SessionPlan],
+    cfg: &ServeConfig,
+) -> ServeReport {
+    Serve::new(&mut StepPriceCache::new(sys, model), cfg).run(&mut SlicePlans::new(plans))
+}
+
+/// [`serve`] that also returns the scheduler trace.
+pub(crate) fn serve_traced(
+    sys: &SystemModel,
+    model: &ModelConfig,
+    plans: &[SessionPlan],
+    cfg: &ServeConfig,
+) -> (ServeReport, Vec<TraceEvent>) {
+    let mut traces = Vec::new();
+    let report = Serve::new(&mut StepPriceCache::new(sys, model), cfg)
+        .trace(&mut traces)
+        .run(&mut SlicePlans::new(plans));
+    assert_eq!(traces.len(), 1, "one device, one trace");
+    (report, traces.remove(0))
 }
 
 /// One session of `frames` camera frames arriving at 0, served alone
@@ -192,7 +217,7 @@ fn shared_price_cache_reproduces_uncached_serving() {
             ServeConfig::real_time_tiered(8_000).with_overlap(true),
         ] {
             let fresh = serve(&sys, &model, &plans, &cfg);
-            let shared = serve_with_cache(&mut cache, &plans, &cfg);
+            let shared = Serve::new(&mut cache, &cfg).run(&mut SlicePlans::new(&plans));
             assert_eq!(fresh, shared);
         }
     }
@@ -387,6 +412,23 @@ fn lag_grows_monotonically_when_overloaded() {
 fn rejects_zero_fps() {
     let sys = SystemModel::new(PlatformSpec::vrex8(), Method::ReSV);
     let _ = serve_one_stream(&sys, 0, 0.0, 1);
+}
+
+/// The pool path runs the same prologue before it routes anything.
+#[test]
+#[should_panic(expected = "fps must be positive")]
+fn pool_rejects_zero_fps() {
+    let pool = DevicePool::homogeneous(PlatformSpec::vrex8(), 2);
+    let sys = SystemModel::new(PlatformSpec::vrex8(), Method::ReSV);
+    let cfg = ServeConfig {
+        fps: 0.0,
+        ..ServeConfig::real_time(0)
+    };
+    let _ = Serve::new(&mut StepPriceCache::new(&sys, &llama()), &cfg).run_pool(
+        &pool,
+        PlacementPolicy::FirstFit,
+        &mut SlicePlans::new(&fleet(2, 1, 0.0, 1)),
+    );
 }
 
 /// At 1e-8 fps one frame interval saturates the ps clock, so the

@@ -6,12 +6,67 @@ use vrex_model::ModelConfig;
 use vrex_system::pipeline::{cold_selected_tokens, layer_costs, selected_tokens, Workload};
 use vrex_system::serve::SessionOutcome;
 use vrex_system::{
-    serve, serve_sharded, serve_sharded_stream, serve_sharded_traced_with_workers,
-    serve_sharded_with_cache_in, serve_stream, serve_traced, DevicePool, InterconnectReport,
-    Method, PlacementPolicy, PlatformSpec, ServeConfig, ShardScratch, StepPriceCache, SystemModel,
-    TieredKvManager, TraceKind,
+    DevicePool, InterconnectReport, Method, PlacementPolicy, PlatformSpec, Serve, ServeConfig,
+    ServeReport, ShardedServeReport, StepPriceCache, SystemModel, TieredKvManager, TraceEvent,
+    TraceKind,
 };
-use vrex_workload::traffic::TrafficConfig;
+use vrex_workload::traffic::{SessionPlan, SlicePlans, TrafficConfig};
+
+/// One serve of `plans` over a fresh price cache.
+fn serve(
+    sys: &SystemModel,
+    model: &ModelConfig,
+    plans: &[SessionPlan],
+    cfg: &ServeConfig,
+) -> ServeReport {
+    Serve::new(&mut StepPriceCache::new(sys, model), cfg).run(&mut SlicePlans::new(plans))
+}
+
+/// [`serve`] that also returns the scheduler trace.
+fn serve_traced(
+    sys: &SystemModel,
+    model: &ModelConfig,
+    plans: &[SessionPlan],
+    cfg: &ServeConfig,
+) -> (ServeReport, Vec<TraceEvent>) {
+    let mut traces = Vec::new();
+    let report = Serve::new(&mut StepPriceCache::new(sys, model), cfg)
+        .trace(&mut traces)
+        .run(&mut SlicePlans::new(plans));
+    (report, traces.remove(0))
+}
+
+/// A fresh Llama-3-8B ReSV price cache for `pool`'s device.
+fn pool_prices(pool: &DevicePool) -> StepPriceCache {
+    let sys = SystemModel::new(pool.device().clone(), Method::ReSV);
+    StepPriceCache::new(&sys, &ModelConfig::llama3_8b())
+}
+
+/// One ReSV serve of `plans` across `pool` over a fresh price cache.
+fn serve_pool(
+    pool: &DevicePool,
+    plans: &[SessionPlan],
+    cfg: &ServeConfig,
+    policy: PlacementPolicy,
+) -> ShardedServeReport {
+    Serve::new(&mut pool_prices(pool), cfg).run_pool(pool, policy, &mut SlicePlans::new(plans))
+}
+
+/// [`serve_pool`] on `workers` threads, with every device's trace.
+fn serve_pool_traced(
+    pool: &DevicePool,
+    plans: &[SessionPlan],
+    cfg: &ServeConfig,
+    policy: PlacementPolicy,
+    workers: usize,
+) -> (ShardedServeReport, Vec<Vec<TraceEvent>>) {
+    let mut traces = Vec::new();
+    let report = Serve::new(&mut pool_prices(pool), cfg)
+        .trace(&mut traces)
+        .workers(workers)
+        .run_pool(pool, policy, &mut SlicePlans::new(plans));
+    (report, traces)
+}
 
 const METHODS: [Method; 6] = [
     Method::FlexGen,
@@ -453,7 +508,7 @@ proptest! {
     }
 
     /// Streaming plan delivery is report-identical to the materialized
-    /// slice: [`serve_stream`] over [`TrafficConfig::stream`] equals
+    /// slice: [`Serve::run`] over [`TrafficConfig::stream`] equals
     /// [`serve`] over [`TrafficConfig::generate`] — the fleet-scale
     /// path changes memory residency, never outcomes.
     #[test]
@@ -475,7 +530,7 @@ proptest! {
         let cfg = ServeConfig::real_time(cache);
         let materialized = serve(&sys, &model, &traffic.generate(), &cfg);
         let mut prices = StepPriceCache::new(&sys, &model);
-        let streamed = serve_stream(&mut prices, &mut traffic.stream(), &cfg);
+        let streamed = Serve::new(&mut prices, &cfg).run(&mut traffic.stream());
         prop_assert_eq!(&materialized, &streamed);
         prop_assert_eq!(materialized.counters, streamed.counters);
     }
@@ -508,12 +563,9 @@ proptest! {
         };
         let plans = traffic.generate();
         let pool = DevicePool::homogeneous(PlatformSpec::vrex48(), devices);
-        let model = ModelConfig::llama3_8b();
         let cfg = ServeConfig::real_time(cache);
         let workers = vrex_core::par::workers();
-        let (sharded, _) = serve_sharded_traced_with_workers(
-            &pool, Method::ReSV, &model, &plans, &cfg, policy, workers,
-        );
+        let (sharded, _) = serve_pool_traced(&pool, &plans, &cfg, policy, workers);
         // Conservation: the placement map lists every offered session
         // exactly once, on a device that exists.
         let mut placed: Vec<usize> = sharded.placements.iter().map(|&(id, _)| id).collect();
@@ -531,12 +583,11 @@ proptest! {
         prop_assert_eq!(sharded.admitted() + sharded.rejected(), sharded.offered());
         prop_assert!(sharded.real_time_sessions() <= sharded.admitted());
         // Streamed plan delivery reproduces the materialized report.
-        let sys = SystemModel::new(PlatformSpec::vrex48(), Method::ReSV);
-        let mut prices = StepPriceCache::new(&sys, &model);
-        let materialized = serve_sharded_with_cache_in(
-            &mut prices, &pool, &plans, &cfg, policy, workers, &mut ShardScratch::new(),
-        );
-        let streamed = serve_sharded_stream(&mut prices, &pool, &mut traffic.stream(), &cfg, policy);
+        let mut prices = pool_prices(&pool);
+        let materialized = Serve::new(&mut prices, &cfg)
+            .workers(workers)
+            .run_pool(&pool, policy, &mut SlicePlans::new(&plans));
+        let streamed = Serve::new(&mut prices, &cfg).run_pool(&pool, policy, &mut traffic.stream());
         prop_assert_eq!(&materialized, &streamed, "streamed vs materialized sharded reports");
         prop_assert_eq!(&materialized, &sharded);
     }
@@ -569,16 +620,11 @@ proptest! {
         }
         .generate();
         let pool = DevicePool::homogeneous(PlatformSpec::vrex48(), devices);
-        let model = ModelConfig::llama3_8b();
         let cfg = ServeConfig::real_time(cache);
-        let (seq, seq_t) = serve_sharded_traced_with_workers(
-            &pool, Method::ReSV, &model, &plans, &cfg, policy, 1,
-        );
+        let (seq, seq_t) = serve_pool_traced(&pool, &plans, &cfg, policy, 1);
         prop_assert_eq!(seq.workers, 1);
         for workers in [2, vrex_core::par::workers()] {
-            let (par, par_t) = serve_sharded_traced_with_workers(
-                &pool, Method::ReSV, &model, &plans, &cfg, policy, workers,
-            );
+            let (par, par_t) = serve_pool_traced(&pool, &plans, &cfg, policy, workers);
             prop_assert_eq!(
                 &par, &seq,
                 "parallel ({workers} workers) report drifted from sequential under {:?}",
@@ -619,16 +665,10 @@ proptest! {
             seed,
         }
         .generate();
-        let model = ModelConfig::llama3_8b();
         let cfg = ServeConfig::real_time(cache);
-        let small = serve_sharded(
-            &DevicePool::homogeneous(PlatformSpec::agx_orin(), devices),
-            Method::ReSV, &model, &plans, &cfg, policy,
-        );
-        let large = serve_sharded(
-            &DevicePool::homogeneous(PlatformSpec::agx_orin(), devices + 1),
-            Method::ReSV, &model, &plans, &cfg, policy,
-        );
+        let pool = |devices| DevicePool::homogeneous(PlatformSpec::agx_orin(), devices);
+        let small = serve_pool(&pool(devices), &plans, &cfg, policy);
+        let large = serve_pool(&pool(devices + 1), &plans, &cfg, policy);
         prop_assert!(
             large.admitted() >= small.admitted(),
             "admitted shrank from {} to {} going {} -> {} devices under {:?}",
@@ -664,18 +704,13 @@ proptest! {
         }
         .generate();
         let pool = DevicePool::homogeneous(PlatformSpec::vrex48(), devices);
-        let model = ModelConfig::llama3_8b();
         for cfg in [
             ServeConfig::real_time(8_000),
             ServeConfig::real_time_tiered(30_000),
             ServeConfig::real_time_tiered(30_000).with_overlap(true),
         ] {
-            let balanced = serve_sharded(
-                &pool, Method::ReSV, &model, &plans, &cfg, PlacementPolicy::LoadBalanced,
-            );
-            let migrate = serve_sharded(
-                &pool, Method::ReSV, &model, &plans, &cfg, PlacementPolicy::Migrate,
-            );
+            let balanced = serve_pool(&pool, &plans, &cfg, PlacementPolicy::LoadBalanced);
+            let migrate = serve_pool(&pool, &plans, &cfg, PlacementPolicy::Migrate);
             prop_assert_eq!(&migrate.placements, &balanced.placements);
             prop_assert_eq!(balanced.interconnect, InterconnectReport::default());
             let off_home = migrate
@@ -836,7 +871,7 @@ proptest! {
         }
         if !overlap {
             let mut prices = StepPriceCache::new(&sys, &model);
-            let streamed = serve_stream(&mut prices, &mut traffic.stream(), &cfg);
+            let streamed = Serve::new(&mut prices, &cfg).run(&mut traffic.stream());
             prop_assert_eq!(&r, &streamed, "streamed cluster fleet drifted");
             prop_assert_eq!(r.counters, streamed.counters);
         }

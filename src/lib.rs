@@ -57,8 +57,8 @@
 //!
 //! ```
 //! use vrex::model::ModelConfig;
-//! use vrex::system::{serve, Method, PlatformSpec, ServeConfig, SystemModel};
-//! use vrex::workload::TrafficConfig;
+//! use vrex::system::{Method, PlatformSpec, Serve, ServeConfig, StepPriceCache, SystemModel};
+//! use vrex::workload::{traffic::SlicePlans, TrafficConfig};
 //!
 //! let sys = SystemModel::new(PlatformSpec::vrex48(), Method::ReSV);
 //! let model = ModelConfig::llama3_8b();
@@ -69,7 +69,9 @@
 //!     seed: 7,
 //! }
 //! .generate();
-//! let report = serve(&sys, &model, &plans, &ServeConfig::real_time(8_000));
+//! let mut prices = StepPriceCache::new(&sys, &model);
+//! let cfg = ServeConfig::real_time(8_000);
+//! let report = Serve::new(&mut prices, &cfg).run(&mut SlicePlans::new(&plans));
 //! assert_eq!(report.admitted + report.rejected, 3);
 //! println!(
 //!     "{}: {}/{} real-time, p99 frame lag {:.3}s",
@@ -91,8 +93,8 @@
 //! ```
 //! use vrex::model::ModelConfig;
 //! use vrex::system::capacity::headline_platform;
-//! use vrex::system::{serve, Method, ServeConfig, SystemModel};
-//! use vrex::workload::TrafficConfig;
+//! use vrex::system::{Method, Serve, ServeConfig, StepPriceCache, SystemModel};
+//! use vrex::workload::{traffic::SlicePlans, TrafficConfig};
 //!
 //! // The headline device: V-Rex48 with half its HBM and a wide
 //! // resident window per stream, so the fleet overflows HBM long
@@ -107,8 +109,14 @@
 //! }
 //! .generate();
 //!
-//! let rejecting = serve(&sys, &model, &plans, &ServeConfig::real_time(32_000));
-//! let tiered = serve(&sys, &model, &plans, &ServeConfig::real_time_tiered(32_000));
+//! // One price cache serves both runs: pricing does not depend on
+//! // the admission policy.
+//! let mut prices = StepPriceCache::new(&sys, &model);
+//! let mut serve = |cfg: ServeConfig| {
+//!     Serve::new(&mut prices, &cfg).run(&mut SlicePlans::new(&plans))
+//! };
+//! let rejecting = serve(ServeConfig::real_time(32_000));
+//! let tiered = serve(ServeConfig::real_time_tiered(32_000));
 //! assert!(rejecting.rejected > 0, "device memory turns streams away");
 //! assert_eq!(tiered.rejected, 0, "spilling admits the whole fleet");
 //!
@@ -133,7 +141,7 @@ pub use vrex_tensor as tensor;
 pub use vrex_workload as workload;
 
 pub use vrex_system::{
-    serve, serve_sharded, AdmissionPolicy, DevicePool, PlacementPolicy, PrefetchMode, ServeConfig,
-    ServeReport, ShardedServeReport, TierReport,
+    AdmissionPolicy, DevicePool, PlacementPolicy, PrefetchMode, Serve, ServeConfig, ServeReport,
+    ShardedServeReport, TierReport,
 };
 pub use vrex_workload::{SessionPlan, TrafficConfig};
