@@ -10,9 +10,11 @@
 //! shared atomic cursor, which load-balances uneven grid points (a
 //! 24-stream tiered serve costs ~10× a 2-stream one).
 //!
-//! This module lives in `vrex-core` (the workspace's lowest crate) so
-//! both `vrex_system::placement` and the bench binaries can share one
-//! driver; `vrex_bench::par` re-exports it under its historical path.
+//! This module lives in `vrex-core` (below `vrex-hwsim` and
+//! `vrex-system`; only the numeric crates `vrex-tensor` and
+//! `vrex-model` sit under it) so both `vrex_system::placement` and the
+//! bench binaries can share one driver; `vrex_bench::par` re-exports it
+//! under its historical path.
 //!
 //! With one worker — a single-core runner
 //! (`available_parallelism() == 1`), an explicit `1`, or a single item

@@ -1,6 +1,10 @@
 //! Flat cold-data movement: spills and promotions move byte fractions
 //! of whole streams (coldest out, hottest back), and a restore is the
 //! selected share of a stream's spilled bytes per source tier.
+//!
+//! The spill victim is memoized (`TieredKvManager::flat_victim`), so a
+//! spill does not rescan the fleet; debug builds check every use
+//! against the scan it replaces.
 
 use vrex_hwsim::tier::MemTier;
 use vrex_retrieval::prefetch::{PrefetchPolicy, PrefetchRequest};
@@ -41,6 +45,45 @@ impl TieredKvManager {
         }
     }
 
+    /// The coldest stream holding device bytes, as its `(last_active_ps,
+    /// id)` key — ties resolve to the smallest id — and its slot, found
+    /// by scanning the fleet: what `flat_victim` memoizes.
+    pub(super) fn coldest_on_device(&self) -> Option<((u64, usize), usize)> {
+        self.sessions
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.res.device_bytes > 0)
+            .map(|(i, s)| ((s.res.last_active_ps, s.id), i))
+            .min()
+    }
+
+    /// The stream in `slot` got a new key or new device bytes: if it is
+    /// the memoized victim the memo is unknown now, otherwise its key
+    /// may undercut the memo.
+    pub(super) fn rekey_flat_victim(&mut self, slot: usize) {
+        self.forget_flat_victim(self.sessions[slot].id);
+        self.lower_flat_victim(slot);
+    }
+
+    /// Lowers the memoized victim to the key of the stream in `slot` if
+    /// that stream holds device bytes and is colder. An unknown memo
+    /// stays unknown: the next spill rescans anyway.
+    fn lower_flat_victim(&mut self, slot: usize) {
+        let s = &self.sessions[slot];
+        if let Some(victim) = self.flat_victim.as_mut() {
+            if s.res.device_bytes > 0 {
+                *victim = (*victim).min((s.res.last_active_ps, s.id));
+            }
+        }
+    }
+
+    /// Invalidates the memoized victim if it is stream `id`.
+    pub(super) fn forget_flat_victim(&mut self, id: usize) {
+        if self.flat_victim.is_some_and(|(_, victim)| victim == id) {
+            self.flat_victim = None;
+        }
+    }
+
     /// Flat spill: while the device is over budget, moves the coldest
     /// stream's device bytes to the nearest lower tier with room.
     pub(super) fn spill_flat(&mut self) {
@@ -54,16 +97,18 @@ impl TieredKvManager {
             let overflow = used - cap;
             // Coldest stream holding device bytes; ties resolve to the
             // smallest id.
-            let Some(victim) = self
-                .sessions
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.res.device_bytes > 0)
-                .min_by_key(|(_, s)| (s.res.last_active_ps, s.id))
-                .map(|(i, _)| i)
-            else {
+            let memo = self.flat_victim.and_then(|key| {
+                debug_assert_eq!(
+                    Some(key),
+                    self.coldest_on_device().map(|(key, _)| key),
+                    "memoized spill victim diverged from the scan"
+                );
+                self.slot(key.1).ok().map(|slot| (key, slot))
+            });
+            let Some((victim_key, victim)) = memo.or_else(|| self.coldest_on_device()) else {
                 return;
             };
+            self.flat_victim = Some(victim_key);
             // Nearest lower tier with room.
             let below = self.caps.below(MemTier::Device);
             let Some((dest, room)) = below.map(|t| (t, self.room(t))).find(|&(_, room)| room > 0)
@@ -77,6 +122,9 @@ impl TieredKvManager {
             let moved = s.res.device_bytes.min(overflow).min(room);
             s.res.device_bytes -= moved;
             *tier_bytes_mut(&mut s.res, dest) += moved;
+            if s.res.device_bytes == 0 {
+                self.flat_victim = None;
+            }
             let victim_id = s.id;
             self.used[dev] -= moved;
             self.used[tier_index(dest)] += moved;
@@ -99,6 +147,7 @@ impl TieredKvManager {
                 break;
             }
             let s = &mut self.sessions[i];
+            let was_on_device = s.res.device_bytes > 0;
             for tier in [MemTier::Host, MemTier::Ssd] {
                 let moved = tier_bytes(&s.res, tier).min(free);
                 *tier_bytes_mut(&mut s.res, tier) -= moved;
@@ -115,6 +164,11 @@ impl TieredKvManager {
                         bytes: moved,
                     });
                 }
+            }
+            // A fully spilled stream back on the device competes for
+            // victim again, at its unchanged key.
+            if !was_on_device {
+                self.lower_flat_victim(i);
             }
         }
     }

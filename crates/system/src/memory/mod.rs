@@ -303,8 +303,19 @@ pub struct TieredKvManager {
     path: TierPath,
     /// Tracked streams, sorted by session id (the scheduler's fleets
     /// are small, so a sorted vec beats a tree map on both lookup and
-    /// the victim/promotion scans that iterate it in id order).
+    /// the promotion scans; the flat spill victim is memoized in
+    /// `flat_victim`, not scanned per spill).
     sessions: Vec<SessionTier>,
+    /// Flat mode's spill victim as `(last_active_ps, id)`: the minimum
+    /// key over streams holding device bytes, or `None` for "unknown,
+    /// rescan". Only a flat spill sets it, so it stays `None` in
+    /// cluster mode. Exact by two rules: a stream that is the memo is
+    /// invalidated when it is touched, grown, drained off the device
+    /// or released; any other stream holding device bytes that gets a
+    /// new key (or regains device bytes) lowers the memo to the
+    /// smaller key — a stream warming at the victim's picosecond with
+    /// a smaller id becomes the victim.
+    flat_victim: Option<(u64, usize)>,
     /// Cluster-granular cold-data tracking, enabled by
     /// [`Self::with_cluster_mode`].
     cluster_mode: Option<ClusterModeCfg>,
@@ -339,6 +350,7 @@ impl TieredKvManager {
             caps,
             path,
             sessions: Vec::new(),
+            flat_victim: None,
             cluster_mode: None,
             used: [0; 3],
             ever_spilled_count: 0,
@@ -576,6 +588,7 @@ impl TieredKvManager {
             r.device_bytes += delta;
             r.last_active_ps = now_ps;
             self.used[tier_index(MemTier::Device)] += delta;
+            self.rekey_flat_victim(i);
         }
         self.spill_down();
     }
@@ -584,6 +597,7 @@ impl TieredKvManager {
     pub fn touch(&mut self, id: usize, now_ps: u64) {
         if let Ok(i) = self.slot(id) {
             self.sessions[i].res.last_active_ps = now_ps;
+            self.rekey_flat_victim(i);
         }
     }
 
@@ -591,6 +605,7 @@ impl TieredKvManager {
     /// spilled streams into the freed device space.
     pub fn release(&mut self, id: usize) {
         if let Ok(i) = self.slot(id) {
+            self.forget_flat_victim(id);
             let s = self.sessions.remove(i);
             for tier in MemTier::ALL {
                 self.used[tier_index(tier)] -= tier_bytes(&s.res, tier);

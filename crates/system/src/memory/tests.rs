@@ -198,6 +198,132 @@ fn grow_keeps_the_growing_stream_hot() {
     assert_eq!(m.residency(1).unwrap().spilled_bytes(), 0);
 }
 
+/// The flat spill victim is memoized; a stream that warms at the
+/// memoized victim's own picosecond with a smaller id is colder by the
+/// id tie-break, so it must take over as the victim.
+#[test]
+fn a_smaller_id_warming_at_the_victims_instant_takes_the_spill() {
+    let t = 5;
+    let mut m = server_manager(4 * GIB, 64 * GIB, 0);
+    m.admit(2, 0, 0); // tracked, nothing on the device
+    m.admit(7, 3 * GIB, t);
+    // 1 GiB over at t: (t, 7) is colder than (t, 9), gives up 1 GiB
+    // and stays the cached victim.
+    m.admit(9, 2 * GIB, t);
+    assert_eq!(m.residency(7).unwrap().host_bytes, GIB);
+    assert_eq!(m.flat_victim, Some((t, 7)));
+    // Stream 2 lands 1 GiB on the full device at t: (t, 2) undercuts
+    // the cached victim, so the spill takes stream 2, not stream 7.
+    m.grow(2, GIB, t);
+    assert_eq!(m.residency(2).unwrap().host_bytes, GIB);
+    assert_eq!(m.residency(7).unwrap().host_bytes, GIB);
+    assert_eq!(m.residency(9).unwrap().host_bytes, 0);
+}
+
+/// A fully spilled stream that a release promotes back onto the device
+/// keeps its old, colder key, so it must take over as the memoized
+/// spill victim.
+#[test]
+fn a_promoted_cold_stream_takes_the_next_spill() {
+    let mut m = server_manager(4 * GIB, 64 * GIB, 0);
+    m.admit(1, 2 * GIB, 0);
+    m.admit(2, 2 * GIB, 1);
+    m.admit(3, 2 * GIB, 2); // stream 1 spills whole
+    m.grow(3, GIB, 3); // stream 2 gives up 1 GiB and is the victim
+    assert_eq!(m.residency(1).unwrap().host_bytes, 2 * GIB);
+    assert_eq!(m.flat_victim, Some((1, 2)));
+    // 3 GiB free: stream 2 (hotter) comes back whole, then stream 1.
+    m.release(3);
+    assert_eq!(m.used_bytes(MemTier::Host), 0);
+    // 1 GiB over: (0, 1) is colder than the memo's (1, 2).
+    m.admit(4, GIB, 4);
+    assert_eq!(m.residency(1).unwrap().host_bytes, GIB);
+    assert_eq!(m.residency(2).unwrap().host_bytes, 0);
+}
+
+/// Flat-mode random operation mixes — two per tick, so coldness ties
+/// happen; touches also run up to two ticks late; ids come in
+/// ascending or descending order — keep the memoized spill victim
+/// equal to the fleet scan after every operation (the spill itself
+/// debug-asserts it at every use), price restores as the route memo
+/// would count them, and conserve every stream's bytes.
+#[test]
+fn flat_victim_memo_matches_the_scan_under_random_operations() {
+    const UNIT: u64 = 4099;
+    const SLOTS: usize = 6;
+    proptest! {
+        // Releases that promote a cold stream under a cached victim
+        // are rare: the 64-case default misses them.
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        fn cases(
+            budget in (2u64..=10, 0u64..=6, 0u64..=30),
+            descending in any::<bool>(),
+            ops in proptest::collection::vec((0u8..10, 0..SLOTS, 1u64..=12), 1..48),
+        ) {
+            let caps = TierCapacities {
+                device_bytes: budget.0 * UNIT,
+                host_bytes: budget.1 * UNIT,
+                ssd_bytes: budget.2 * UNIT,
+            };
+            let mut m = TieredKvManager::new(caps, server_path());
+            let policy = SpeculativePrefetch { accuracy: 0.9 };
+            // Stream ids are never reused, as in the serving layer.
+            let mut ids: [usize; SLOTS] = std::array::from_fn(|slot| {
+                if descending { 1_000 - slot } else { slot }
+            });
+            let mut bytes = [0u64; SLOTS];
+            let mut lookups = 0;
+            for (step, &(op, slot, units)) in ops.iter().enumerate() {
+                let id = ids[slot];
+                let tracked = m.residency(id).is_some();
+                let now = (step as u64 / 2) * 1_000;
+                match op {
+                    0 | 1 => {
+                        m.admit(id, units * UNIT, now);
+                        bytes[slot] += units * UNIT;
+                    }
+                    2 => {
+                        m.grow(id, units * 1031, now);
+                        bytes[slot] += if tracked { units * 1031 } else { 0 };
+                    }
+                    3 => m.touch(id, now.saturating_sub(units % 3 * 1_000)),
+                    4 => {
+                        m.release(id);
+                        bytes[slot] = 0;
+                        ids[slot] = if descending { id - SLOTS } else { id + SLOTS };
+                    }
+                    _ => {
+                        let ratio = units as f64 / 12.0;
+                        let plan = m.plan_restore(id, ratio, units % 2 == 1, &policy);
+                        for (from, leg_bytes, leg_ps) in [
+                            (MemTier::Host, plan.host_bytes, plan.host_ps),
+                            (MemTier::Ssd, plan.ssd_bytes, plan.ssd_ps),
+                        ] {
+                            let closed_form =
+                                server_path().migrate_ps(from, MemTier::Device, leg_bytes, MIGRATION_CHUNK_BYTES);
+                            prop_assert_eq!(leg_ps, closed_form);
+                            lookups += u64::from(leg_bytes > 0);
+                        }
+                        let hidden = plan.spec_ps();
+                        m.commit_restore(&plan, hidden, plan.miss_ps() - hidden);
+                    }
+                }
+                if let Some(victim) = m.flat_victim {
+                    prop_assert_eq!(Some(victim), m.coldest_on_device().map(|(key, _)| key));
+                }
+                prop_assert_eq!(m.price_hits() + m.price_misses(), lookups);
+                prop_assert_eq!(m.price_misses(), m.migration_prices.len() as u64);
+                for (slot, &id) in ids.iter().enumerate() {
+                    prop_assert_eq!(m.residency(id).map_or(0, Residency::total_bytes), bytes[slot]);
+                }
+                let used: u64 = MemTier::ALL.iter().map(|&tier| m.used_bytes(tier)).sum();
+                prop_assert_eq!(used, bytes.iter().sum::<u64>());
+            }
+        }
+    }
+    cases();
+}
+
 #[test]
 fn migration_price_memo_is_bit_identical_to_the_closed_form() {
     let mut m = server_manager(4 * GIB, 8 * GIB, 64 * GIB);
