@@ -14,8 +14,6 @@
 //! recorded [`EarlyExitStats`] feed the WTU cycle model in
 //! `vrex-hwsim`.
 
-use crate::wicsum::wicsum_select_row;
-
 /// Work counters of one early-exit selection, consumed by the WTU
 /// cycle model.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -33,13 +31,16 @@ pub struct EarlyExitStats {
 
 /// Runs WiCSum selection with the early-exit bucket dataflow.
 ///
-/// Semantics match [`wicsum_select_row`] exactly; see there for the
-/// contract. `n_buckets` controls the score-range granularity (the
-/// paper's WTU uses a fixed small bucket count; 16–64 is typical).
+/// Semantics match
+/// [`wicsum_select_row`](crate::wicsum::wicsum_select_row) exactly;
+/// see there for the contract. `n_buckets` controls the score-range
+/// granularity (the paper's WTU uses a fixed small bucket count; 16–64
+/// is typical).
 ///
 /// # Panics
 ///
-/// Panics on the same inputs as [`wicsum_select_row`], or if
+/// Panics on the same inputs as
+/// [`wicsum_select_row`](crate::wicsum::wicsum_select_row), or if
 /// `n_buckets == 0`.
 pub fn early_exit_select_row(
     scores: &[f32],
@@ -164,16 +165,17 @@ fn by_score_desc(scores: &[f32], a: usize, b: usize) -> std::cmp::Ordering {
         .then(a.cmp(&b))
 }
 
-/// Convenience wrapper asserting bit-exact agreement with the
-/// full-sort reference; used in tests and debug builds.
-pub fn select_row_checked(
+/// [`early_exit_select_row`]'s selection, asserted bit-exact against
+/// the full-sort reference.
+#[cfg(test)]
+fn select_row_checked(
     scores: &[f32],
     counts: &[usize],
     th_ratio: f32,
     n_buckets: usize,
 ) -> Vec<usize> {
     let (fast, _) = early_exit_select_row(scores, counts, th_ratio, n_buckets);
-    let reference = wicsum_select_row(scores, counts, th_ratio);
+    let reference = crate::wicsum::wicsum_select_row(scores, counts, th_ratio);
     assert_eq!(
         fast, reference,
         "early-exit selection diverged from reference"
@@ -235,6 +237,7 @@ fn rescan_select_row(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wicsum::wicsum_select_row;
     use proptest::prelude::*;
 
     /// Selection and work counters equal the per-bucket rescan's.

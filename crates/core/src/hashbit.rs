@@ -122,7 +122,8 @@ impl HyperplaneSet {
 /// Hamming distance under random-hyperplane hashing:
 /// `E[hamming / n_bits] = angle / π = acos(cos_sim) / π`.
 ///
-/// Exposed for the Fig. 7b experiment and tests.
+/// The relation Fig. 7b plots; no figure computes it yet.
+// vrex-lint: allow(unreached-pub) — paper claim (Fig. 7b), becomes an F1 row
 pub fn expected_normalized_hamming(cosine_similarity: f32) -> f32 {
     cosine_similarity.clamp(-1.0, 1.0).acos() / std::f32::consts::PI
 }

@@ -38,6 +38,7 @@ impl Cluster {
     }
 
     /// Number of member tokens (`TC` in the paper's equations).
+    // vrex-lint: allow(unreached-pub) — oracle of crates/core/tests/props.rs
     pub fn token_count(&self) -> usize {
         self.token_indices.len()
     }
@@ -212,6 +213,7 @@ impl HcTable {
     /// Verifies the partition invariants (each inserted token index in
     /// exactly one cluster; counts consistent). Panics on violation.
     /// Intended for tests and property checks.
+    // vrex-lint: allow(unreached-pub) — oracle of crates/core/tests/props.rs
     pub fn assert_partition(&self) {
         let mut seen = std::collections::BTreeSet::new();
         let mut total = 0;

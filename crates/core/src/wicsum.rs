@@ -69,6 +69,7 @@ pub fn wicsum_select_row(scores: &[f32], counts: &[usize], th_ratio: f32) -> Vec
 
 /// The weighted mass fraction actually captured by a selection —
 /// used in tests to verify the threshold contract.
+// vrex-lint: allow(unreached-pub) — oracle of crates/core/tests/props.rs
 pub fn captured_fraction(scores: &[f32], counts: &[usize], selected: &[usize]) -> f64 {
     let total: f64 = scores
         .iter()

@@ -62,6 +62,8 @@ pub struct BusyInterval {
 
 #[derive(Debug)]
 struct Resource {
+    /// The label [`Engine::add_resource`] was given; only tests read it.
+    #[cfg_attr(not(test), allow(dead_code))]
     name: String,
     /// End of the last *appended* task; [`Engine::schedule`] starts at
     /// or after this, so appended tasks stay FIFO even when earlier
@@ -336,7 +338,8 @@ impl Engine {
     }
 
     /// Name of a resource.
-    pub fn resource_name(&self, r: ResourceId) -> &str {
+    #[cfg(test)]
+    pub(crate) fn resource_name(&self, r: ResourceId) -> &str {
         &self.resources[r.0].name
     }
 

@@ -92,17 +92,12 @@ impl GpuConfig {
     pub fn serial_op_ps(&self, ops: u64, kernels: u64) -> u64 {
         seconds_to_ps(ops as f64 / self.serial_ops_per_s) + kernels * self.launch_ps
     }
-
-    /// Attainable throughput (FLOP/s) at operational intensity
-    /// `oi` (FLOP/byte) — the roofline curve.
-    pub fn attainable_flops(&self, oi: f64) -> f64 {
-        (oi * self.mem_bytes_per_s).min(self.peak_flops)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::roofline::Roof;
 
     #[test]
     fn dense_op_is_memory_bound_for_weight_streaming() {
@@ -138,9 +133,13 @@ mod tests {
     #[test]
     fn roofline_has_knee() {
         let gpu = GpuConfig::agx_orin();
+        let roof = Roof {
+            peak_flops: gpu.peak_flops,
+            mem_bytes_per_s: gpu.mem_bytes_per_s,
+        };
         let knee = gpu.peak_flops / gpu.mem_bytes_per_s;
-        assert!(gpu.attainable_flops(knee / 10.0) < gpu.peak_flops * 0.2);
-        assert_eq!(gpu.attainable_flops(knee * 10.0), gpu.peak_flops);
+        assert!(roof.attainable(knee / 10.0) < gpu.peak_flops * 0.2);
+        assert_eq!(roof.attainable(knee * 10.0), gpu.peak_flops);
     }
 
     #[test]

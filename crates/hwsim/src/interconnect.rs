@@ -1,9 +1,9 @@
-//! Device-to-device interconnect model (NVLink / PCIe-switch fabrics).
+//! Device-to-device interconnect model (an NVLink fabric).
 //!
 //! Scale-out serving shards a session fleet across several accelerator
 //! devices; rebalancing then moves resident KV blocks *between* devices
-//! over NVLink or a PCIe switch. Both fabrics behave like the storage
-//! links the simulator already models: a fixed raw bandwidth degraded
+//! over NVLink. The fabric behaves like the storage links the
+//! simulator already models: a fixed raw bandwidth degraded
 //! by per-packet framing and per-descriptor setup cost. So the fabric
 //! link is priced through the exact same math as [`crate::pcie`] —
 //! [`PcieConfig::transfer_ps`] — with NVLink-flavoured constants, and
@@ -51,15 +51,6 @@ impl InterconnectConfig {
         }
     }
 
-    /// PCIe 4.0 ×16 switch fabric — every device port is the same
-    /// 32 GB/s link the server platform uses for host memory.
-    pub fn pcie_switch_gen4_x16() -> Self {
-        Self {
-            name: "PCIeSw4.0x16",
-            link: PcieConfig::gen4_x16(),
-        }
-    }
-
     /// Duration (ps) of moving `total_bytes` across one fabric port in
     /// DMA chunks of `chunk_bytes`. Delegates to the PCIe link math.
     ///
@@ -102,16 +93,6 @@ impl Interconnect {
             .map(|d| engine.add_resource(&format!("{}-d{d}", cfg.name)))
             .collect();
         Self { cfg, ports }
-    }
-
-    /// The fabric configuration.
-    pub fn config(&self) -> &InterconnectConfig {
-        &self.cfg
-    }
-
-    /// Number of device ports.
-    pub fn devices(&self) -> usize {
-        self.ports.len()
     }
 
     /// The [`Engine`] resource backing device `d`'s fabric port.
@@ -186,7 +167,7 @@ mod tests {
     fn ports_are_named_engine_resources() {
         let mut e = Engine::new();
         let ic = Interconnect::install(&mut e, InterconnectConfig::nvlink4(), 4);
-        assert_eq!(ic.devices(), 4);
+        assert_eq!(ic.ports.len(), 4);
         assert_eq!(e.resource_name(ic.port(0)), "NVLink4-d0");
         assert_eq!(e.resource_name(ic.port(3)), "NVLink4-d3");
     }
@@ -194,11 +175,11 @@ mod tests {
     #[test]
     fn copy_occupies_both_ports_for_the_full_window() {
         let mut e = Engine::new();
-        let ic = Interconnect::install(&mut e, InterconnectConfig::pcie_switch_gen4_x16(), 2);
+        let ic = Interconnect::install(&mut e, InterconnectConfig::nvlink4(), 2);
         let bytes = 4u64 << 20;
         let chunk = 256u64 << 10;
         let span = ic.copy(&mut e, 0, 1, bytes, chunk, 0, "migrate");
-        let dur = ic.config().transfer_ps(bytes, chunk);
+        let dur = InterconnectConfig::nvlink4().transfer_ps(bytes, chunk);
         assert_eq!(
             span,
             CopySpan {

@@ -55,15 +55,6 @@ impl FetchPlan {
     pub fn total_bytes(&self) -> u64 {
         self.transactions.iter().map(|t| t.bytes).sum()
     }
-
-    /// Mean transaction size in bytes (0 when no transfer needed).
-    pub fn mean_transaction_bytes(&self) -> f64 {
-        if self.transactions.is_empty() {
-            0.0
-        } else {
-            self.total_bytes() as f64 / self.transactions.len() as f64
-        }
-    }
 }
 
 /// The KV-cache management unit for one stream.
@@ -130,7 +121,8 @@ impl Kvmu {
     }
 
     /// Tokens currently resident in device memory.
-    pub fn hot_len(&self) -> usize {
+    #[cfg(test)]
+    fn hot_len(&self) -> usize {
         self.hot_queue.len()
     }
 
@@ -151,6 +143,7 @@ impl Kvmu {
     /// Appends one new token (optionally tagged with its hash-cluster
     /// id) to the hot window, spilling the oldest hot tokens to offload
     /// space if the budget is exceeded.
+    // vrex-lint: allow(unreached-pub) — N1 decides `Kvmu`; tests/kvmu_fetch_path.rs drives it until then
     pub fn append_token(&mut self, cluster: Option<usize>) -> usize {
         let token = self.residency.len();
         self.residency.push(Residency::Device);
@@ -202,6 +195,7 @@ impl Kvmu {
     /// # Panics
     ///
     /// Panics if a token index is unknown.
+    // vrex-lint: allow(unreached-pub) — N1 decides `Kvmu`; tests/kvmu_fetch_path.rs drives it until then
     pub fn plan_fetch(&mut self, selection: &[usize]) -> FetchPlan {
         let mut plan = FetchPlan::default();
         let mut offsets: BTreeMap<u64, usize> = BTreeMap::new();
@@ -240,8 +234,9 @@ impl Kvmu {
         plan
     }
 
-    /// Verifies residency invariants; panics on violation. For tests.
-    pub fn assert_invariants(&self) {
+    /// Verifies residency invariants; panics on violation.
+    #[cfg(test)]
+    fn assert_invariants(&self) {
         assert!(
             self.hot_queue.len() <= self.hot_capacity.max(1),
             "hot window over budget"
@@ -319,7 +314,7 @@ mod tests {
         }
         let plan = k.plan_fetch(&[0, 2, 4, 6]);
         assert_eq!(plan.transactions.len(), 4);
-        assert!((plan.mean_transaction_bytes() - 256.0).abs() < 1e-9);
+        assert_eq!(plan.total_bytes(), 4 * 256);
     }
 
     #[test]

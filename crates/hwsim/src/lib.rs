@@ -17,7 +17,7 @@
 //!   striping, scattered-vs-contiguous efficiency);
 //! * [`pcie`] — PCIe link with per-TLP overhead, so transfer efficiency
 //!   depends on chunk size (the KVMU's cluster-contiguous win);
-//! * [`interconnect`] — device-to-device NVLink / PCIe-switch fabric:
+//! * [`interconnect`] — device-to-device NVLink fabric:
 //!   per-device ports as named [`engine`] resources, priced through the
 //!   same link math as [`pcie`];
 //! * [`gpu`] — roofline GPU model with kernel-launch and

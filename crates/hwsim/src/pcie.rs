@@ -79,13 +79,6 @@ impl PcieConfig {
         wire_ps + n_chunks * self.dma_setup_ps
     }
 
-    /// Effective bandwidth (bytes/s) at a chunk size.
-    pub fn effective_bandwidth(&self, chunk_bytes: u64) -> f64 {
-        let total = 64u64 << 20;
-        let ps = self.transfer_ps(total, chunk_bytes);
-        total as f64 / (ps as f64 / 1e12)
-    }
-
     /// Link power while active (W).
     pub fn active_power_w(&self) -> f64 {
         self.w_per_lane * self.lanes as f64
@@ -96,6 +89,14 @@ impl PcieConfig {
 mod tests {
     use super::*;
 
+    /// Effective bandwidth (bytes/s) of a 64 MiB transfer at a chunk
+    /// size, as [`PcieConfig::transfer_ps`] prices it.
+    fn effective_bandwidth(cfg: &PcieConfig, chunk_bytes: u64) -> f64 {
+        let total = 64u64 << 20;
+        let ps = cfg.transfer_ps(total, chunk_bytes);
+        total as f64 / (ps as f64 / 1e12)
+    }
+
     #[test]
     fn raw_bandwidths_match_table1() {
         assert!((PcieConfig::gen3_x4().raw_bytes_per_s() - 4.0e9).abs() < 1.0);
@@ -105,7 +106,7 @@ mod tests {
     #[test]
     fn large_chunks_approach_line_rate() {
         let cfg = PcieConfig::gen3_x4();
-        let bw = cfg.effective_bandwidth(1 << 20);
+        let bw = effective_bandwidth(&cfg, 1 << 20);
         assert!(
             bw > 0.85 * cfg.raw_bytes_per_s(),
             "1 MiB chunks should be efficient, got {bw:.2e}"
@@ -115,8 +116,8 @@ mod tests {
     #[test]
     fn tiny_chunks_collapse_bandwidth() {
         let cfg = PcieConfig::gen3_x4();
-        let bw_small = cfg.effective_bandwidth(512);
-        let bw_big = cfg.effective_bandwidth(1 << 20);
+        let bw_small = effective_bandwidth(&cfg, 512);
+        let bw_big = effective_bandwidth(&cfg, 1 << 20);
         assert!(
             bw_small < 0.6 * bw_big,
             "512 B chunks {bw_small:.2e} should clearly underperform {bw_big:.2e}"

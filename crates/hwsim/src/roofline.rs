@@ -20,11 +20,6 @@ impl Roof {
     pub fn attainable(&self, oi: f64) -> f64 {
         (oi * self.mem_bytes_per_s).min(self.peak_flops)
     }
-
-    /// The ridge point (FLOP/byte) where the roofline flattens.
-    pub fn ridge(&self) -> f64 {
-        self.peak_flops / self.mem_bytes_per_s
-    }
 }
 
 /// One measured system point on the roofline plot.
@@ -72,7 +67,7 @@ mod tests {
             peak_flops: 54e12,
             mem_bytes_per_s: 204.8e9,
         };
-        let ridge = roof.ridge();
+        let ridge = roof.peak_flops / roof.mem_bytes_per_s;
         assert!((ridge - 263.7).abs() < 1.0);
         // Below ridge: bandwidth-limited.
         assert!((roof.attainable(15.2) - 15.2 * 204.8e9).abs() < 1.0);

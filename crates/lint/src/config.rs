@@ -37,6 +37,21 @@ pub const ALL_RULES: &[&str] = &[
 /// they must still never iterate hash containers or read wall clocks.
 pub const STRUCTURAL_RULES: &[&str] = &["unordered-iteration", "wall-clock-in-sim"];
 
+/// The library crates whose `pub` definitions `unreached-pub` indexes.
+pub const PUB_INDEXED: &[&str] = &[
+    "crates/core",
+    "crates/hwsim",
+    "crates/model",
+    "crates/retrieval",
+    "crates/system",
+    "crates/tensor",
+    "crates/workload",
+];
+
+/// Read only as callers of the indexed items, never linted: the repo
+/// benchmark, a workspace of its own that links the library crates.
+pub const CALLERS_ONLY: &str = "benchmark/src";
+
 /// The workspace configuration table, in scan order.
 pub const WORKSPACE: &[CrateCfg] = &[
     CrateCfg {

@@ -4,7 +4,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
-vrex-lint — determinism/time-integrity static analysis for the V-Rex workspace
+vrex-lint — determinism and public-surface reachability lint for the V-Rex workspace
 
 USAGE:
     vrex-lint --workspace [--root DIR] [--json FILE]

@@ -68,6 +68,11 @@ pub struct RuleDef {
 /// not waivable and not part of [`REGISTRY`]'s check functions.
 pub const BAD_WAIVER: &str = "bad-waiver";
 
+/// Name of the workspace-phase rule ([`crate::reach`]): a `pub` item
+/// of a library crate that nothing outside tests names. It needs every
+/// file at once, so it is not in [`REGISTRY`]'s per-file checks.
+pub const UNREACHED_PUB: &str = "unreached-pub";
+
 /// The registered determinism rules, in reporting order.
 pub const REGISTRY: &[RuleDef] = &[
     RuleDef {
@@ -112,9 +117,10 @@ pub fn rule(name: &str) -> Option<&'static RuleDef> {
     REGISTRY.iter().find(|r| r.name == name)
 }
 
-/// `true` when `name` is a valid waiver target (a registered rule).
+/// `true` when `name` is a valid waiver target (a registered rule or
+/// the workspace phase's).
 pub fn is_known_rule(name: &str) -> bool {
-    rule(name).is_some()
+    name == UNREACHED_PUB || rule(name).is_some()
 }
 
 /// Builds the per-token context ([`FileCtx`]) for one lexed file.

@@ -1,18 +1,29 @@
 //! Walks the workspace, applies the configured rules per file, and
 //! attaches waivers to findings.
 
-use crate::config::{CrateCfg, WORKSPACE};
+use crate::config::{CrateCfg, CALLERS_ONLY, WORKSPACE};
 use crate::lexer::{lex, Lexed};
+use crate::reach::unreached_pub;
 use crate::report::{Finding, Outcome};
-use crate::rules::{build_ctx, is_known_rule, rule, FileKind, BAD_WAIVER};
+use crate::rules::{build_ctx, is_known_rule, rule, FileCtx, FileKind, BAD_WAIVER};
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Lints every configured crate under `root` (the workspace root).
+/// Lints every configured crate under `root` (the workspace root): the
+/// per-file rules, then the workspace phase ([`unreached_pub`]) over
+/// all of them plus [`CALLERS_ONLY`].
 pub fn run_workspace(root: &Path) -> io::Result<Outcome> {
-    let mut out = Outcome::default();
-    for cfg in WORKSPACE {
-        let dir = root.join(cfg.rel);
+    let rel_of = |path: &Path| {
+        path.strip_prefix(root)
+            .unwrap_or(path)
+            .to_string_lossy()
+            .replace(std::path::MAIN_SEPARATOR, "/")
+    };
+    // (rel, config, lexed); no config for the callers-only files.
+    let mut lexed = Vec::new();
+    let dirs = WORKSPACE.iter().map(|cfg| (cfg.rel, Some(cfg)));
+    for (dir, cfg) in dirs.chain([(CALLERS_ONLY, None)]) {
+        let dir = root.join(dir);
         if !dir.is_dir() {
             continue;
         }
@@ -20,16 +31,28 @@ pub fn run_workspace(root: &Path) -> io::Result<Outcome> {
         collect_rs_files(&dir, &mut files)?;
         files.sort();
         for path in files {
-            let rel = path
-                .strip_prefix(root)
-                .unwrap_or(&path)
-                .to_string_lossy()
-                .replace(std::path::MAIN_SEPARATOR, "/");
-            let file_out = lint_file(&path, &rel, cfg)?;
-            out.findings.extend(file_out.findings);
-            out.unused_waivers.extend(file_out.unused_waivers);
-            out.files_scanned += 1;
+            lexed.push((rel_of(&path), cfg, lex(&std::fs::read_to_string(&path)?)));
         }
+    }
+    let ctxs: Vec<_> = lexed
+        .iter()
+        .map(|(rel, _, lx)| build_ctx(lx, classify(rel)))
+        .collect();
+    let scanned: Vec<_> = lexed
+        .iter()
+        .zip(&ctxs)
+        .map(|((rel, _, _), ctx)| (rel.as_str(), ctx))
+        .collect();
+    let mut unreached = unreached_pub(&scanned);
+    let mut out = Outcome::default();
+    for ((rel, cfg, lx), ctx) in lexed.iter().zip(&ctxs) {
+        let Some(cfg) = cfg else { continue };
+        let mut findings = file_findings(ctx, rel, cfg);
+        findings.extend(unreached.remove(rel).unwrap_or_default());
+        let file_out = attach_waivers(lx, rel, findings);
+        out.findings.extend(file_out.findings);
+        out.unused_waivers.extend(file_out.unused_waivers);
+        out.files_scanned += 1;
     }
     out.findings.sort();
     out.unused_waivers.sort();
@@ -45,32 +68,29 @@ pub struct FileOutcome {
     pub unused_waivers: Vec<(String, u32)>,
 }
 
-/// Lints a single file under crate config `cfg`. `rel` is the
-/// root-relative path used in reports and boundary lookups.
-pub fn lint_file(path: &Path, rel: &str, cfg: &CrateCfg) -> io::Result<FileOutcome> {
-    let src = std::fs::read_to_string(path)?;
-    Ok(lint_source(&src, rel, cfg))
-}
-
-/// Lints already-loaded source text (the testable core of
-/// [`lint_file`]).
+/// Lints one file's source text under the per-file rules only (the
+/// workspace phase needs the whole tree: [`run_workspace`]).
 pub fn lint_source(src: &str, rel: &str, cfg: &CrateCfg) -> FileOutcome {
     let lexed = lex(src);
-    let kind = classify(rel);
-    let ctx = build_ctx(&lexed, kind);
+    let findings = file_findings(&build_ctx(&lexed, classify(rel)), rel, cfg);
+    attach_waivers(&lexed, rel, findings)
+}
+
+/// The per-file rules' findings for one file, waivers not yet attached.
+fn file_findings(ctx: &FileCtx, rel: &str, cfg: &CrateCfg) -> Vec<Finding> {
     let mut findings = Vec::new();
     for name in cfg.rules {
         let def = rule(name).expect("config names a registered rule");
-        if kind == FileKind::Test && !def.include_tests {
+        if ctx.kind == FileKind::Test && !def.include_tests {
             continue;
         }
-        if def.lib_only && kind != FileKind::Lib {
+        if def.lib_only && ctx.kind != FileKind::Lib {
             continue;
         }
         if *name == "float-time" && cfg.float_time_boundary.contains(&rel) {
             continue;
         }
-        for raw in (def.check)(&ctx) {
+        for raw in (def.check)(ctx) {
             findings.push(Finding {
                 file: rel.to_string(),
                 line: raw.line,
@@ -80,7 +100,7 @@ pub fn lint_source(src: &str, rel: &str, cfg: &CrateCfg) -> FileOutcome {
             });
         }
     }
-    attach_waivers(&lexed, rel, findings)
+    findings
 }
 
 /// Classifies a file as library or test/bench/example code from its

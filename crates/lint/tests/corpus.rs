@@ -2,13 +2,16 @@
 //! has a sidecar `.expected` file listing the findings it must produce,
 //! one per line, as `line:rule:active|waived` (unused waivers appear as
 //! `line:unused-waiver:note`). The corpus is also the meta-proof that
-//! every registered rule actually fires on something.
+//! every registered rule actually fires on something. The workspace
+//! phase needs a tree, not a file: `fixtures/unreached_pub/` is a
+//! miniature workspace, its golden `unreached_pub.expected` prefixes
+//! each row with the file.
 
 use std::path::{Path, PathBuf};
 use vrex_lint::config::ALL_RULES;
 use vrex_lint::rules::{BAD_WAIVER, REGISTRY};
 use vrex_lint::runner::{lint_source, FileOutcome};
-use vrex_lint::CrateCfg;
+use vrex_lint::{run_workspace, CrateCfg};
 
 const FIXTURE_CFG: CrateCfg = CrateCfg {
     rel: "crates/fixture",
@@ -125,4 +128,38 @@ fn waived_findings_are_reported_not_dropped() {
     let js = outcome.render_json();
     assert!(js.contains("\"waived\": true"));
     assert!(js.contains("fixture: slot is always armed here"));
+}
+
+/// The seven `unreached-pub` cases: an uncalled `pub fn` (and a
+/// `pub const`) is a finding; one called from another crate's non-test
+/// code or from `benchmark/src` is not; a `pub const fn` referenced only
+/// under `#[cfg(test)]` and in `tests/` is; a trait-impl method and a
+/// `pub(crate)` item are not indexed; a waived one is reported waived.
+#[test]
+fn unreached_pub_fixture_matches_its_golden_expectations() {
+    let out = run_workspace(&fixtures_dir().join("unreached_pub")).expect("scan fixture tree");
+    let mut got: Vec<String> = out
+        .findings
+        .iter()
+        .map(|f| {
+            let status = if f.waived.is_some() {
+                "waived"
+            } else {
+                "active"
+            };
+            format!("{}:{}:{}:{status}", f.file, f.line, f.rule)
+        })
+        .collect();
+    got.extend(
+        out.unused_waivers
+            .iter()
+            .map(|(file, line)| format!("{file}:{line}:unused-waiver:note")),
+    );
+    let expected: Vec<String> =
+        std::fs::read_to_string(fixtures_dir().join("unreached_pub.expected"))
+            .expect("golden readable")
+            .lines()
+            .map(str::to_string)
+            .collect();
+    assert_eq!(got, expected, "{}", out.render_text());
 }

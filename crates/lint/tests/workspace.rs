@@ -1,8 +1,8 @@
 //! The end-to-end contracts: the shipped tree lints clean (every
 //! finding waived with a reason), every `float-time` carve-out masks a
-//! finding, an injected violation turns the run red, and the
-//! multi-device placement module is genuinely covered by the full rule
-//! set.
+//! finding, an injected violation turns the run red (an uncalled `pub`
+//! item too, until the benchmark calls it), and the multi-device
+//! placement module is genuinely covered by the full rule set.
 
 use std::path::Path;
 use vrex_lint::config::{CrateCfg, ALL_RULES, WORKSPACE};
@@ -142,4 +142,36 @@ fn injected_violation_fails_the_run() {
             out.render_text()
         );
     }
+}
+
+/// The workspace phase runs inside `run_workspace`: an uncalled `pub fn`
+/// in a library crate is an active `unreached-pub` finding, and a call
+/// from `benchmark/src`, which is read but never linted, clears it.
+#[test]
+fn uncalled_pub_fn_fails_the_run_until_the_benchmark_calls_it() {
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("vrex_lint_unreached");
+    let lib = root.join("crates/system/src/lib.rs");
+    let bench = root.join("benchmark/src/main.rs");
+    for path in [&lib, &bench] {
+        std::fs::create_dir_all(path.parent().expect("has a parent")).expect("tmp tree");
+    }
+    std::fs::write(&lib, "pub fn orphan() -> u32 {\n    7\n}\n").expect("write lib");
+    std::fs::write(&bench, "fn main() {}\n").expect("write benchmark");
+    let unreached = |out: &vrex_lint::Outcome| {
+        out.findings
+            .iter()
+            .filter(|f| f.rule == "unreached-pub" && f.waived.is_none())
+            .count()
+    };
+    let out = run_workspace(&root).expect("scan tmp tree");
+    assert_eq!(unreached(&out), 1, "{}", out.render_text());
+    assert_eq!(out.unwaived(), 1, "{}", out.render_text());
+    std::fs::write(
+        &bench,
+        "fn main() {\n    let _ = vrex_system::orphan();\n}\n",
+    )
+    .expect("write benchmark caller");
+    let out = run_workspace(&root).expect("scan tmp tree");
+    assert_eq!(unreached(&out), 0, "{}", out.render_text());
+    assert_eq!(out.files_scanned, 1, "the benchmark is read, not linted");
 }

@@ -59,6 +59,7 @@ impl ModelConfig {
 
     /// A tiny configuration for unit tests (fast, still multi-layer and
     /// grouped-query so all code paths are exercised).
+    // vrex-lint: allow(unreached-pub) — oracle of crates/model/tests/props.rs and the facade's tests/
     pub fn tiny() -> Self {
         Self {
             n_layers: 2,

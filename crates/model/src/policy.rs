@@ -49,12 +49,6 @@ impl Selection {
         self.selected_count(cache_len) as f64 / cache_len as f64
     }
 
-    /// Whether the selection covers the whole cache without an explicit
-    /// index list.
-    pub fn is_all(&self) -> bool {
-        matches!(self, Selection::All)
-    }
-
     /// The explicit index list, if the selection already carries one.
     ///
     /// `Selection::All` has no materialized list (its extent depends on
@@ -129,6 +123,7 @@ impl SelectedIndices {
     }
 
     /// Whether every cached token was selected.
+    // vrex-lint: allow(unreached-pub) — oracle of crates/retrieval/tests/props.rs
     pub fn is_total(&self) -> bool {
         self.indices.len() == self.total
     }
@@ -140,11 +135,6 @@ impl SelectedIndices {
             return 1.0;
         }
         self.indices.len() as f64 / self.total as f64
-    }
-
-    /// Consumes the resolution, returning the index list.
-    pub fn into_vec(self) -> Vec<usize> {
-        self.indices
     }
 }
 
@@ -303,16 +293,13 @@ mod tests {
         assert_eq!(resolved.indices(), &[1, 4, 6]);
         assert!(!resolved.is_total());
         assert!((resolved.ratio() - 0.3).abs() < 1e-12);
-        assert_eq!(resolved.into_vec(), vec![1, 4, 6]);
     }
 
     #[test]
     fn materialized_distinguishes_lazy_all() {
         assert_eq!(Selection::All.materialized(), None);
-        assert!(Selection::All.is_all());
         let sel = Selection::Indices(vec![0, 2]);
         assert_eq!(sel.materialized(), Some(&[0usize, 2][..]));
-        assert!(!sel.is_all());
     }
 
     #[test]

@@ -143,7 +143,8 @@ mod tests {
         let idx = p
             .select(&request(&q, &k, Stage::Generation))
             .resolve(history)
-            .into_vec();
+            .indices()
+            .to_vec();
         assert_eq!(idx.len(), (20.0f64 * 0.068).ceil() as usize);
         assert!(idx.windows(2).all(|w| w[0] < w[1]), "must be ascending");
     }
@@ -179,7 +180,8 @@ mod tests {
         let idx = p
             .select(&request(&q, &k, Stage::Prefill))
             .resolve(history)
-            .into_vec();
+            .indices()
+            .to_vec();
         assert_eq!(idx, vec![4]);
     }
 

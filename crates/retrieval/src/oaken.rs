@@ -43,12 +43,14 @@ impl OakenModel {
     }
 
     /// Capacity multiplier versus the BF16 cache.
+    // vrex-lint: allow(unreached-pub) — paper claim (Oaken's capacity gain), becomes an F1 row
     pub fn capacity_gain(&self, cfg: &ModelConfig) -> f64 {
         cfg.kv_bytes_per_token() as f64 / self.kv_bytes_per_token(cfg) as f64
     }
 
     /// Quantize-dequantize round trip of a KV matrix (the functional
     /// path: attention then runs on the dequantized values).
+    // vrex-lint: allow(unreached-pub) — oracle of crates/retrieval/tests/props.rs
     pub fn round_trip(&self, kv: &Matrix) -> Matrix {
         QuantizedMatrix::quantize(kv, self.scheme).dequantize()
     }

@@ -161,14 +161,6 @@ pub struct SpeculativePrefetch {
     pub accuracy: f64,
 }
 
-impl SpeculativePrefetch {
-    /// The calibrated InfiniGen-style default (90% speculation
-    /// accuracy).
-    pub fn infinigen_default() -> Self {
-        Self { accuracy: 0.9 }
-    }
-}
-
 impl PrefetchPolicy for SpeculativePrefetch {
     fn name(&self) -> &'static str {
         "speculative"
@@ -271,7 +263,7 @@ mod tests {
 
     #[test]
     fn speculative_policy_covers_needed_bytes_at_its_accuracy() {
-        let policy = SpeculativePrefetch::infinigen_default();
+        let policy = SpeculativePrefetch { accuracy: 0.9 };
         let r = req(10_000, 0.3);
         let plan = policy.plan(&r);
         assert_eq!(plan.bytes, r.needed_bytes());
@@ -300,7 +292,7 @@ mod tests {
     #[test]
     fn flat_policies_are_cluster_blind() {
         assert_eq!(NoPrefetch.cluster_plan(&creq(100, 0.3, 0)), None);
-        let spec = SpeculativePrefetch::infinigen_default();
+        let spec = SpeculativePrefetch { accuracy: 0.9 };
         assert_eq!(spec.cluster_plan(&creq(100, 0.3, 0)), None);
     }
 

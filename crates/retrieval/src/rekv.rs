@@ -181,7 +181,8 @@ mod tests {
         let idx = p
             .select(&request(&q, &k, Stage::Prefill))
             .resolve(history)
-            .into_vec();
+            .indices()
+            .to_vec();
         assert_eq!(idx, vec![4, 5, 6, 7]);
     }
 

@@ -29,7 +29,7 @@
 //! hierarchy ([`AdmissionPolicy`]). [`placement`] scales both across a
 //! multi-device [`DevicePool`]: arriving sessions are *placed* on a
 //! device (admission becomes placement), and cross-device KV
-//! migrations ride the NVLink / PCIe-switch fabric as contended
+//! migrations ride the NVLink fabric as contended
 //! resource-timeline work. [`capacity`] holds the capacity grids over
 //! all three, their typed rows and the predicates the headline claims
 //! are gated by.

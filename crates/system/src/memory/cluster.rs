@@ -145,6 +145,7 @@ impl TieredKvManager {
     /// the run-length state one element per cluster — O(clusters), up
     /// to 16384 per session — and is meant for tests and inspection;
     /// the manager itself never walks clusters.
+    // vrex-lint: allow(unreached-pub) — oracle of crates/system/tests/props.rs
     pub fn spilled_clusters(&self, id: usize) -> Vec<(u64, MemTier, u64)> {
         match self.slot(id) {
             Ok(i) => self.sessions[i]

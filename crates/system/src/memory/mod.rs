@@ -34,9 +34,9 @@
 //!
 //! This module moves bytes *vertically* (between tiers of one device's
 //! hierarchy). The multi-device [`crate::placement`] layer moves them
-//! *horizontally* — between devices over the NVLink / PCIe-switch
-//! fabric. A placement decides at most one copy per session and
-//! schedules it on the fabric at once, where this manager queues
+//! *horizontally* — between devices over the NVLink fabric. A placement
+//! decides at most one copy per session and schedules it on the fabric
+//! at once, where this manager queues
 //! [`MigrationTask`]s behind [`TieredKvManager::drain_migrations_into`];
 //! both are priced in [`MIGRATION_CHUNK_BYTES`] DMA chunks.
 
@@ -377,6 +377,7 @@ impl TieredKvManager {
 
     /// Bytes currently resident in one tier, fleet-wide (maintained
     /// incrementally; `debug_assert`-checked against the fleet scan).
+    // vrex-lint: allow(unreached-pub) — oracle of crates/system/tests/props.rs
     pub fn used_bytes(&self, tier: MemTier) -> u64 {
         debug_assert_eq!(
             self.used[tier_index(tier)],

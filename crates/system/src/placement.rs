@@ -5,8 +5,8 @@
 //! an event-driven continuous-batching scheduler whose admission
 //! control either rejects overflow sessions or spills them down the
 //! HBM → host-DRAM → SSD hierarchy. Scale-out asks the next question:
-//! given a [`DevicePool`] of N identical devices joined by an NVLink /
-//! PCIe-switch fabric, **which device should an arriving session land
+//! given a [`DevicePool`] of N identical devices joined by an NVLink
+//! fabric, **which device should an arriving session land
 //! on?** That decision — placement — subsumes admission: the placer
 //! never rejects, it routes; each device's own admission control
 //! remains the sole authority over queueing, spilling, and rejection
@@ -47,7 +47,7 @@
 use std::collections::BTreeMap;
 
 use vrex_core::par::{par_map_with_workers, timed, workers as host_workers};
-use vrex_hwsim::interconnect::Interconnect;
+use vrex_hwsim::interconnect::{Interconnect, InterconnectConfig};
 use vrex_hwsim::Engine;
 use vrex_model::ModelConfig;
 use vrex_workload::traffic::{PlanSource, SessionPlan, SlicePlans};
@@ -318,7 +318,7 @@ fn route(
         sub.reserve(hint.div_ceil(n.max(1)));
     }
     let mut engine = Engine::new();
-    let fabric = Interconnect::install(&mut engine, pool.interconnect.clone(), n);
+    let fabric = Interconnect::install(&mut engine, InterconnectConfig::nvlink4(), n);
     let mut placements = Vec::with_capacity(hint);
     let mut report = InterconnectReport::default();
     while let Some(mut plan) = source.next_plan() {
@@ -474,7 +474,10 @@ mod tests {
         let configs = [
             ServeConfig::real_time(8_000),
             ServeConfig::real_time_tiered(30_000),
-            ServeConfig::real_time_tiered(30_000).with_overlap(true),
+            ServeConfig {
+                overlap: true,
+                ..ServeConfig::real_time_tiered(30_000)
+            },
         ];
         for cfg in &configs {
             let sys = SystemModel::new(PlatformSpec::vrex48(), Method::ReSV);
@@ -571,7 +574,14 @@ mod tests {
             r.interconnect.migrations as u64 * context,
             "every migration moves exactly the prefilled context"
         );
-        assert!(r.interconnect.busy_ps > 0);
+        // Each copy holds its source port and its destination port for
+        // one transfer of the context.
+        assert_eq!(
+            r.interconnect.busy_ps,
+            2 * r.interconnect.migrations as u64
+                * InterconnectConfig::nvlink4().transfer_ps(context, MIGRATION_CHUNK_BYTES),
+            "fabric busy time is two port-holds per migration"
+        );
         assert_eq!(r.offered(), 10);
     }
 
@@ -595,7 +605,7 @@ mod tests {
         let bytes = 1u64 << 20;
         let one = 2_875_947u64;
         assert_eq!(
-            fabric.config().transfer_ps(bytes, MIGRATION_CHUNK_BYTES),
+            InterconnectConfig::nvlink4().transfer_ps(bytes, MIGRATION_CHUNK_BYTES),
             one,
             "hand-computed single-copy duration"
         );
@@ -663,7 +673,10 @@ mod tests {
             ),
         ];
         for (overlap, expected) in golden {
-            let cfg = ServeConfig::real_time(32_000).with_overlap(overlap);
+            let cfg = ServeConfig {
+                overlap,
+                ..ServeConfig::real_time(32_000)
+            };
             let mut traces = Vec::new();
             serve_pool_traced(&pool, &plans, &cfg, PlacementPolicy::FirstFit, &mut traces);
             let got = [trace_fingerprint(&traces[0]), trace_fingerprint(&traces[1])];

@@ -3,7 +3,6 @@
 use vrex_hwsim::area_power::SystemPower;
 use vrex_hwsim::dram::DramConfig;
 use vrex_hwsim::gpu::GpuConfig;
-use vrex_hwsim::interconnect::InterconnectConfig;
 use vrex_hwsim::pcie::PcieConfig;
 use vrex_hwsim::ssd::SsdConfig;
 use vrex_hwsim::vrexunits::VRexChipConfig;
@@ -166,25 +165,26 @@ impl PlatformSpec {
 pub const MAX_POOL_DEVICES: usize = 16;
 
 /// A homogeneous multi-device platform: `devices` copies of one
-/// [`PlatformSpec`] joined by a device-to-device fabric.
+/// [`PlatformSpec`] joined by an NVLink 4 fabric
+/// ([`InterconnectConfig::nvlink4`], which the placement pass
+/// installs).
 ///
 /// Each device carries its own full tier hierarchy (its
 /// `PlatformSpec`-derived HBM/host/SSD budgets and, during sharded
 /// serving, its own tiered KV-manager state); the pool adds only the
-/// interconnect over which KV blocks migrate between devices. A pool
+/// fabric over which KV blocks migrate between devices. A pool
 /// of one device is *exactly* the single-device platform: sharded
 /// serving over it must reproduce the unsharded serve byte-identically.
+///
+/// [`InterconnectConfig::nvlink4`]: vrex_hwsim::interconnect::InterconnectConfig::nvlink4
 #[derive(Debug, Clone, PartialEq)]
 pub struct DevicePool {
     device: PlatformSpec,
     devices: usize,
-    /// Device-to-device fabric joining the pool.
-    pub interconnect: InterconnectConfig,
 }
 
 impl DevicePool {
-    /// A pool of `devices` identical copies of `device`, joined by
-    /// NVLink 4 (override with [`Self::with_interconnect`]).
+    /// A pool of `devices` identical copies of `device`.
     ///
     /// # Panics
     ///
@@ -194,18 +194,7 @@ impl DevicePool {
             (1..=MAX_POOL_DEVICES).contains(&devices),
             "pool size {devices} outside 1..={MAX_POOL_DEVICES}"
         );
-        Self {
-            device,
-            devices,
-            interconnect: InterconnectConfig::nvlink4(),
-        }
-    }
-
-    /// Replaces the fabric (e.g. a PCIe-switch pool of PCIe-attached
-    /// accelerators).
-    pub fn with_interconnect(mut self, interconnect: InterconnectConfig) -> Self {
-        self.interconnect = interconnect;
-        self
+        Self { device, devices }
     }
 
     /// The per-device platform.
@@ -272,16 +261,6 @@ mod tests {
         let p = PlatformSpec::vrex48().with_nvme_tier();
         assert!(p.storage.is_some());
         assert!(p.offload_dram.is_some(), "host tier kept");
-    }
-
-    #[test]
-    fn pool_defaults_to_nvlink_and_keeps_its_device() {
-        let pool = DevicePool::homogeneous(PlatformSpec::vrex48(), 4);
-        assert_eq!(pool.devices(), 4);
-        assert_eq!(pool.device(), &PlatformSpec::vrex48());
-        assert_eq!(pool.interconnect, InterconnectConfig::nvlink4());
-        let sw = pool.with_interconnect(InterconnectConfig::pcie_switch_gen4_x16());
-        assert_eq!(sw.interconnect.name, "PCIeSw4.0x16");
     }
 
     #[test]

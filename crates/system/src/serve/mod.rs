@@ -197,13 +197,6 @@ impl ServeConfig {
         }
     }
 
-    /// The same configuration under the chosen execution model.
-    #[must_use]
-    pub fn with_overlap(mut self, overlap: bool) -> Self {
-        self.overlap = overlap;
-        self
-    }
-
     /// The camera's frame interval in integer ps, shared by the scheduler
     /// and the placement pass. Panics unless `fps` is positive and the
     /// real-time bar (two frame intervals) fits in `u64` ps.

@@ -214,7 +214,10 @@ fn shared_price_cache_reproduces_uncached_serving() {
         for cfg in [
             ServeConfig::real_time(8_000),
             ServeConfig::real_time_tiered(8_000),
-            ServeConfig::real_time_tiered(8_000).with_overlap(true),
+            ServeConfig {
+                overlap: true,
+                ..ServeConfig::real_time_tiered(8_000)
+            },
         ] {
             let fresh = serve(&sys, &model, &plans, &cfg);
             let shared = Serve::new(&mut cache, &cfg).run(&mut SlicePlans::new(&plans));
@@ -818,7 +821,10 @@ fn overlapped_trace_matches_golden_fingerprints() {
     let model = llama();
     let mut drift = Vec::new();
     for c in &cases {
-        let cfg = c.cfg.with_overlap(true);
+        let cfg = ServeConfig {
+            overlap: true,
+            ..c.cfg
+        };
         let (r, trace) = serve_traced(&c.sys, &model, &c.plans, &cfg);
         let t = r.tiering.expect("tiered run reports tiering");
         assert!(
@@ -864,7 +870,7 @@ fn overlapped_timeline_peak_stays_flat_as_the_fleet_grows() {
     };
     let serve_fleet = |sessions: usize, overlap: bool| {
         let plans = fleet(sessions, 1, sessions as f64 / 0.8, 11);
-        serve(&sys, &model, &plans, &cfg.with_overlap(overlap)).counters
+        serve(&sys, &model, &plans, &ServeConfig { overlap, ..cfg }).counters
     };
     let (small, big) = (serve_fleet(150, true), serve_fleet(600, true));
     assert!(
@@ -944,7 +950,15 @@ fn single_stream_overlap_equals_serialized() {
     let plans = fleet(1, 2, 0.0, 3);
     let cfg = ServeConfig::real_time(1_000);
     let serial = serve(&sys, &model, &plans, &cfg);
-    let overlap = serve(&sys, &model, &plans, &cfg.with_overlap(true));
+    let overlap = serve(
+        &sys,
+        &model,
+        &plans,
+        &ServeConfig {
+            overlap: true,
+            ..cfg
+        },
+    );
     assert_eq!(serial, overlap);
 }
 
@@ -990,7 +1004,10 @@ fn overlap_conserves_sessions_and_work() {
 fn overlap_trace_is_weakly_monotone_and_total() {
     let sys = SystemModel::new(PlatformSpec::vrex48(), Method::ReSV);
     let plans = fleet(6, 2, 8.0, 17);
-    let cfg = ServeConfig::real_time(8_000).with_overlap(true);
+    let cfg = ServeConfig {
+        overlap: true,
+        ..ServeConfig::real_time(8_000)
+    };
     let (r, trace) = serve_traced(&sys, &llama(), &plans, &cfg);
     assert_eq!(r.sessions.len(), plans.len());
     assert!(!trace.is_empty());
@@ -1040,7 +1057,7 @@ fn decode_heavy_fleet_keeps_ready_sets_and_samples_exact() {
     ];
     for (sys, cfg) in &cases {
         for overlap in [false, true] {
-            let cfg = cfg.with_overlap(overlap);
+            let cfg = ServeConfig { overlap, ..*cfg };
             let r = serve(sys, &model, &plans, &cfg);
             assert_eq!(r, serve(sys, &model, &plans, &cfg), "deterministic");
             assert_eq!(r.admitted + r.rejected, r.offered);

@@ -393,9 +393,9 @@ proptest! {
             } else {
                 vrex_system::AdmissionPolicy::RejectOnly
             },
+            overlap: true,
             ..ServeConfig::real_time(cache)
-        }
-        .with_overlap(true);
+        };
         let (r, trace) = serve_traced(&sys, &model, &plans, &cfg);
         for w in trace.windows(2) {
             prop_assert!(
@@ -707,7 +707,10 @@ proptest! {
         for cfg in [
             ServeConfig::real_time(8_000),
             ServeConfig::real_time_tiered(30_000),
-            ServeConfig::real_time_tiered(30_000).with_overlap(true),
+            ServeConfig {
+                overlap: true,
+                ..ServeConfig::real_time_tiered(30_000)
+            },
         ] {
             let balanced = serve_pool(&pool, &plans, &cfg, PlacementPolicy::LoadBalanced);
             let migrate = serve_pool(&pool, &plans, &cfg, PlacementPolicy::Migrate);

@@ -15,7 +15,7 @@
 //! use vrex_tensor::Matrix;
 //!
 //! let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-//! let b = Matrix::identity(2);
+//! let b = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]); // the identity
 //! assert_eq!(a.matmul(&b), a);
 //! ```
 

@@ -91,7 +91,8 @@ impl Matrix {
     }
 
     /// Creates the `n × n` identity matrix.
-    pub fn identity(n: usize) -> Self {
+    #[cfg(test)]
+    fn identity(n: usize) -> Self {
         let mut m = Self::zeros(n, n);
         for i in 0..n {
             m[(i, i)] = 1.0;
@@ -129,11 +130,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns the underlying buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Borrows row `r` as a slice.
     ///
     /// # Panics
@@ -159,13 +155,13 @@ impl Matrix {
         self.data.chunks_exact(self.cols)
     }
 
-    /// Returns a new matrix containing the given rows, in order.
-    ///
-    /// Used by retrieval policies to gather selected KV entries.
+    /// Returns a new matrix containing the given rows, in order: the
+    /// reference the fused row-indexed products are tested against.
     ///
     /// # Panics
     ///
     /// Panics if any index is out of bounds.
+    // vrex-lint: allow(unreached-pub) — oracle of crates/tensor/tests/props.rs
     pub fn gather_rows(&self, indices: &[usize]) -> Matrix {
         let mut out = Matrix::zeros(indices.len(), self.cols);
         for (i, &idx) in indices.iter().enumerate() {
@@ -369,6 +365,7 @@ impl Matrix {
     }
 
     /// Returns the transposed matrix.
+    // vrex-lint: allow(unreached-pub) — oracle of crates/tensor/tests/props.rs
     pub fn transposed(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
         for i in 0..self.rows {
@@ -411,6 +408,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if the shapes differ.
+    // vrex-lint: allow(unreached-pub) — oracle of crates/tensor/tests/props.rs and crates/model/tests/props.rs
     pub fn max_abs_diff(&self, other: &Matrix) -> f32 {
         assert_eq!(self.rows, other.rows, "shape mismatch");
         assert_eq!(self.cols, other.cols, "shape mismatch");

@@ -1,8 +1,7 @@
 //! KV-cache quantization.
 //!
 //! Implements the group-wise low-bit quantization used by the Oaken
-//! baseline (4-bit online KV-cache quantization, paper Fig. 15) plus a
-//! bf16 rounding helper used when modelling BF16 storage footprints.
+//! baseline (4-bit online KV-cache quantization, paper Fig. 15).
 
 use crate::Matrix;
 
@@ -125,14 +124,6 @@ impl QuantizedMatrix {
     }
 }
 
-/// Rounds an `f32` to the nearest bf16-representable value (truncating
-/// the low 16 mantissa bits with round-to-nearest-even).
-pub fn round_to_bf16(v: f32) -> f32 {
-    let bits = v.to_bits();
-    let rounded = bits.wrapping_add(0x7FFF + ((bits >> 16) & 1));
-    f32::from_bits(rounded & 0xFFFF_0000)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,14 +165,5 @@ mod tests {
         assert_eq!(s, 72);
         // int4 storage is ~4x smaller than f16.
         assert!(s * 3 < 128 * 2);
-    }
-
-    #[test]
-    fn bf16_rounding_keeps_high_bits() {
-        assert_eq!(round_to_bf16(1.0), 1.0);
-        let v = 1.000_123_4_f32;
-        let r = round_to_bf16(v);
-        assert!((r - v).abs() < 0.01);
-        assert_eq!(r.to_bits() & 0xFFFF, 0);
     }
 }

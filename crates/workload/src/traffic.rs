@@ -281,6 +281,7 @@ pub struct SessionPlan {
 
 impl SessionPlan {
     /// Total video frames across the session.
+    // vrex-lint: allow(unreached-pub) — oracle of crates/system/tests/props.rs
     pub fn total_frames(&self) -> usize {
         self.events
             .iter()
